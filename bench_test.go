@@ -387,6 +387,31 @@ func BenchmarkOSBAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkOSBInvalidateRange times one page migration's buffer work: drop
+// a 4 KiB page of 64 B rows from a full 512 KB buffer, then refill it.
+func BenchmarkOSBInvalidateRange(b *testing.B) {
+	const page, pages = 4096, (512 << 10) / 4096
+	for _, pol := range []osb.Policy{osb.HTR, osb.LRU, osb.FIFO} {
+		b.Run(string(pol), func(b *testing.B) {
+			buf := osb.New(512<<10, pol)
+			fill := func(start uint64) {
+				for a := start; a < start+page; a += 64 {
+					buf.Access(a, 64)
+				}
+			}
+			for p := uint64(0); p < pages; p++ {
+				fill(p * page)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				start := uint64(i%pages) * page
+				buf.InvalidateRange(start, start+page)
+				fill(start)
+			}
+		})
+	}
+}
+
 func BenchmarkProcessCore(b *testing.B) {
 	eng := sim.NewEngine()
 	core := pifs.New(eng, pifs.DefaultConfig())

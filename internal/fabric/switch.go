@@ -330,14 +330,6 @@ func (s *Switch) fetchDelay() sim.Tick {
 	return delay
 }
 
-// InvalidateBuffer drops a row vector from the on-switch buffer (page
-// migration moved it); no-op without a buffer.
-func (s *Switch) InvalidateBuffer(addr uint64) {
-	if s.Buffer != nil {
-		s.Buffer.Invalidate(addr)
-	}
-}
-
 // InvalidateBufferRange drops every buffered row vector in [start, end) —
 // the migration hook's single range-granular call replacing a per-row loop.
 // It returns the number of vectors dropped; no-op without a buffer.

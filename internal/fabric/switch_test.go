@@ -283,13 +283,17 @@ func TestInvalidateBuffer(t *testing.T) {
 	if !s.Buffer.Contains(0) {
 		t.Fatal("vector not cached after miss")
 	}
-	s.InvalidateBuffer(0)
+	if n := s.InvalidateBufferRange(0, 64); n != 1 {
+		t.Fatalf("InvalidateBufferRange dropped %d vectors, want 1", n)
+	}
 	if s.Buffer.Contains(0) {
 		t.Fatal("vector survived invalidation")
 	}
 	// No-op on a coreless, bufferless switch.
 	plain := testSwitch(t, eng, Config{ID: 9}, 1)
-	plain.InvalidateBuffer(0)
+	if n := plain.InvalidateBufferRange(0, 64); n != 0 {
+		t.Fatalf("bufferless switch dropped %d vectors", n)
+	}
 }
 
 func TestConcurrentClustersInterleaveOnCore(t *testing.T) {

@@ -8,9 +8,11 @@
 package osb
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 
 	"pifsrec/internal/sim"
 )
@@ -35,6 +37,10 @@ const (
 
 	minBufferBytes = 4 << 10
 	maxBufferBytes = 8 << 20
+
+	// pageShift sets the page index's granularity: the 4 KiB migration page
+	// of tier.PageBytes, keyed by an entry's base address.
+	pageShift = 12
 )
 
 // Stats summarizes buffer behaviour.
@@ -63,6 +69,9 @@ type Buffer struct {
 	latencyNS sim.Tick
 
 	entries map[uint64]*entry
+	// pages heads, per 4 KiB page of base addresses, the list of cached
+	// entries on that page, so a page invalidation visits only its rows.
+	pages map[uint64]*entry
 	// order is the eviction structure: a frequency min-heap for HTR, an
 	// access-ordered queue for LRU, an insertion-ordered queue for FIFO.
 	order entryHeap
@@ -74,6 +83,8 @@ type Buffer struct {
 	// freeEntries recycles evicted/invalidated entry structs so steady-state
 	// insert/evict churn allocates nothing.
 	freeEntries []*entry
+	// victims is InvalidateRange's reused scratch list.
+	victims []*entry
 }
 
 type entry struct {
@@ -84,6 +95,8 @@ type entry struct {
 	// first.
 	rank uint64
 	heap int
+	// prev and next link the entry into its page's list.
+	prev, next *entry
 }
 
 type entryHeap []*entry
@@ -117,6 +130,7 @@ func New(capacityBytes int, policy Policy) *Buffer {
 		capacity:  capacityBytes,
 		latencyNS: latencyFor(capacityBytes),
 		entries:   make(map[uint64]*entry),
+		pages:     make(map[uint64]*entry),
 		profiler:  NewProfiler(),
 	}
 }
@@ -209,19 +223,43 @@ func (b *Buffer) admit(addr uint64, size int, freq uint32) {
 		if b.policy == HTR && victim.rank >= rank {
 			return
 		}
-		heap.Pop(&b.order)
-		delete(b.entries, victim.addr)
-		b.used -= victim.size
+		b.remove(victim)
 		b.stats.Evictions++
-		b.releaseEntry(victim)
 	}
 
 	e := b.allocEntry()
 	e.addr, e.size, e.rank = addr, size, rank
 	heap.Push(&b.order, e)
 	b.entries[addr] = e
+	page := addr >> pageShift
+	if head := b.pages[page]; head != nil {
+		head.prev = e
+		e.next = head
+	}
+	b.pages[page] = e
 	b.used += size
 	b.stats.Inserts++
+}
+
+// remove drops a cached entry from every structure that holds it — the
+// eviction heap, the address map and its page list — and recycles it.
+func (b *Buffer) remove(e *entry) {
+	heap.Remove(&b.order, e.heap)
+	delete(b.entries, e.addr)
+	switch {
+	case e.prev != nil:
+		e.prev.next = e.next
+	case e.next != nil:
+		b.pages[e.addr>>pageShift] = e.next
+	default:
+		delete(b.pages, e.addr>>pageShift)
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	}
+	e.prev, e.next = nil, nil
+	b.used -= e.size
+	b.releaseEntry(e)
 }
 
 // allocEntry returns a recycled (or fresh) entry struct.
@@ -242,53 +280,47 @@ func (b *Buffer) releaseEntry(e *entry) { b.freeEntries = append(b.freeEntries, 
 // reporting whether it was present.
 func (b *Buffer) Invalidate(addr uint64) bool {
 	e, ok := b.entries[addr]
-	if !ok {
-		return false
+	if ok {
+		b.remove(e)
 	}
-	heap.Remove(&b.order, e.heap)
-	delete(b.entries, addr)
-	b.used -= e.size
-	b.releaseEntry(e)
-	return true
+	return ok
 }
 
 // InvalidateRange drops every cached vector whose base address lies in
 // [start, end) — one page-migration invalidation instead of a per-row loop.
-// It returns the number of entries dropped. Victims are removed in ascending
-// address order so the eviction heap's internal layout (and therefore future
-// tie-breaking) stays deterministic.
+// It returns the number of entries dropped. Only the page lists overlapping
+// the range are walked, or every list when the range spans more pages than
+// are occupied. Victims are removed in ascending address order so the
+// eviction heap's internal layout (and therefore future tie-breaking) stays
+// deterministic.
 func (b *Buffer) InvalidateRange(start, end uint64) int {
 	if len(b.entries) == 0 || start >= end {
 		return 0
 	}
-	var victims []uint64
-	for addr := range b.entries {
-		if addr >= start && addr < end {
-			victims = append(victims, addr)
+	victims := b.victims[:0]
+	collect := func(head *entry) {
+		for e := head; e != nil; e = e.next {
+			if e.addr >= start && e.addr < end {
+				victims = append(victims, e)
+			}
 		}
 	}
-	if len(victims) == 0 {
-		return 0
+	first, last := start>>pageShift, (end-1)>>pageShift
+	if last-first < uint64(len(b.pages)) {
+		for p := first; p <= last; p++ {
+			collect(b.pages[p])
+		}
+	} else {
+		for _, head := range b.pages {
+			collect(head)
+		}
 	}
-	sortAddrs(victims)
-	for _, addr := range victims {
-		e := b.entries[addr]
-		heap.Remove(&b.order, e.heap)
-		delete(b.entries, addr)
-		b.used -= e.size
-		b.releaseEntry(e)
+	slices.SortFunc(victims, func(x, y *entry) int { return cmp.Compare(x.addr, y.addr) })
+	for _, e := range victims {
+		b.remove(e)
 	}
+	b.victims = victims[:0]
 	return len(victims)
-}
-
-// sortAddrs is an insertion sort: victim sets are tiny (one page of rows at
-// most), where it beats sort.Slice's interface overhead.
-func sortAddrs(a []uint64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // Profiler exposes the address profiler (the FM endpoint extension owns it
@@ -322,9 +354,10 @@ func (p *Profiler) Count(addr uint64) uint32 { return p.counts[addr] }
 // Tracked returns how many distinct addresses have been observed.
 func (p *Profiler) Tracked() int { return len(p.counts) }
 
-// Decay halves every count, aging the profile so stale hot spots fade; the
-// page-management layer calls this between migration epochs. Entries that
-// reach zero are dropped.
+// Decay halves every count, aging the profile so stale hot spots fade.
+// Entries that reach zero are dropped. Nothing in the simulator calls it:
+// profiles accumulate for a buffer's whole lifetime, and every buffered
+// table is computed that way.
 func (p *Profiler) Decay() {
 	for a, c := range p.counts {
 		c >>= 1

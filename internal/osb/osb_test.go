@@ -1,6 +1,9 @@
 package osb
 
 import (
+	"container/heap"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -247,5 +250,217 @@ func TestMixedVectorSizes(t *testing.T) {
 	}
 	if !b.Access(0, 128) || !b.Access(1024, 256) {
 		t.Fatal("mixed-size entries not retrievable")
+	}
+}
+
+func TestInvalidateRange(t *testing.T) {
+	b := New(MinCapacity, LRU)
+	for _, a := range []uint64{0x0, 0x40, 0xfc0, 0x1000, 0x1040, 0x3000} {
+		b.Access(a, 64)
+	}
+	for _, c := range []struct {
+		start, end uint64
+		want       int
+	}{
+		{0x40, 0x40, 0},   // empty
+		{0x1000, 0x40, 0}, // inverted
+		{0x40, 0x41, 1},   // sub-row: base address only
+		{0xf80, 0x1040, 2},
+		{0x2000, 0x3000, 0}, // end is exclusive
+		{0, math.MaxUint64, 3},
+	} {
+		if got := b.InvalidateRange(c.start, c.end); got != c.want {
+			t.Fatalf("InvalidateRange(%#x, %#x) = %d, want %d", c.start, c.end, got, c.want)
+		}
+		checkPageIndex(t, b)
+	}
+	if b.Len() != 0 || b.Used() != 0 || len(b.pages) != 0 {
+		t.Fatalf("len=%d used=%d pages=%d after clearing", b.Len(), b.Used(), len(b.pages))
+	}
+	if b.InvalidateRange(0, math.MaxUint64) != 0 {
+		t.Fatal("empty buffer reported invalidations")
+	}
+}
+
+// refInvalidateRange is the full-scan InvalidateRange the page index
+// replaced: it ranges over every cached entry. The differential test holds
+// the page-indexed path to it.
+func refInvalidateRange(b *Buffer, start, end uint64) int {
+	if len(b.entries) == 0 || start >= end {
+		return 0
+	}
+	var victims []uint64
+	for addr := range b.entries {
+		if addr >= start && addr < end {
+			victims = append(victims, addr)
+		}
+	}
+	slices.Sort(victims)
+	for _, addr := range victims {
+		b.remove(b.entries[addr])
+	}
+	return len(victims)
+}
+
+// checkPageIndex asserts that every cached entry sits on exactly the page
+// list of its base address, with consistent back links and no empty list.
+func checkPageIndex(t *testing.T, b *Buffer) {
+	t.Helper()
+	n := 0
+	for page, head := range b.pages {
+		if head == nil || head.prev != nil {
+			t.Fatalf("page %#x: bad list head", page)
+		}
+		for e := head; e != nil; e = e.next {
+			if e.addr>>pageShift != page || b.entries[e.addr] != e {
+				t.Fatalf("entry %#x on page list %#x", e.addr, page)
+			}
+			if e.next != nil && e.next.prev != e {
+				t.Fatalf("entry %#x: broken back link", e.addr)
+			}
+			n++
+		}
+	}
+	if n != len(b.entries) {
+		t.Fatalf("page lists hold %d entries, map holds %d", n, len(b.entries))
+	}
+}
+
+// evictionOrder returns the order in which b's current entries would be
+// evicted, draining a copy of the heap.
+func evictionOrder(b *Buffer) []uint64 {
+	h := make(entryHeap, len(b.order))
+	for i, e := range b.order {
+		c := *e
+		h[i] = &c
+	}
+	out := make([]uint64, 0, len(h))
+	for h.Len() > 0 {
+		out = append(out, heap.Pop(&h).(*entry).addr)
+	}
+	return out
+}
+
+// randomRange draws an invalidation range over the pages in pool: sub-page,
+// page-straddling, multi-page, the whole address space, empty, inverted, or
+// between two arbitrary pool addresses.
+func randomRange(rng *sim.RNG, pool []uint64) (start, end uint64) {
+	const page = 1 << pageShift
+	base := pool[rng.Intn(len(pool))] &^ (page - 1)
+	off := uint64(rng.Intn(page))
+	switch rng.Intn(7) {
+	case 0:
+		return base + off, base + off + uint64(rng.Intn(page-int(off))) + 1
+	case 1:
+		return base + off, base + page + uint64(rng.Intn(page))
+	case 2:
+		return base + off, base + uint64(2+rng.Intn(6))*page + uint64(rng.Intn(page))
+	case 3:
+		return 0, math.MaxUint64
+	case 4:
+		return base + off, base + off
+	case 5:
+		return base + off + 1, base + off
+	default:
+		return pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+	}
+}
+
+// TestInvalidateRangeMatchesFullScan drives a page-indexed buffer and a
+// full-scan reference through the same random Access / Invalidate /
+// InvalidateRange sequences and requires them to stay indistinguishable:
+// same return values, occupancy, counters and contents after every step,
+// and the same subsequent eviction sequence. The last check pins the heap
+// layout, which decides ties, and is why victims are removed in address
+// order.
+func TestInvalidateRangeMatchesFullScan(t *testing.T) {
+	// 64 B rows over 16 low pages plus the top two pages of the address
+	// space: twice the buffer's capacity, so evictions interleave with
+	// invalidations, and ranges that end at math.MaxUint64 stay in play.
+	var pool []uint64
+	for a := uint64(0); a < 16<<pageShift; a += 64 {
+		pool = append(pool, a)
+	}
+	for a := uint64(math.MaxUint64) - 2<<pageShift + 1; a != 0; a += 64 {
+		pool = append(pool, a)
+	}
+	for _, pol := range []Policy{HTR, LRU, FIFO} {
+		t.Run(string(pol), func(t *testing.T) {
+			for seed := uint64(1); seed <= 6; seed++ {
+				rng := sim.NewRNG(seed)
+				got, want := New(MinCapacity, pol), New(MinCapacity, pol)
+				for step := 0; step < 1000; step++ {
+					var g, w int
+					var op string
+					switch r := rng.Intn(10); {
+					case r < 7:
+						a, size := pool[rng.Intn(len(pool))], 64<<rng.Intn(3)
+						op = "Access"
+						if got.Access(a, size) {
+							g = 1
+						}
+						if want.Access(a, size) {
+							w = 1
+						}
+					case r < 8:
+						a := pool[rng.Intn(len(pool))]
+						op = "Invalidate"
+						if got.Invalidate(a) {
+							g = 1
+						}
+						if want.Invalidate(a) {
+							w = 1
+						}
+					default:
+						start, end := randomRange(rng, pool)
+						op = "InvalidateRange"
+						g, w = got.InvalidateRange(start, end), refInvalidateRange(want, start, end)
+					}
+					if g != w || got.Len() != want.Len() || got.Used() != want.Used() || got.Stats() != want.Stats() {
+						t.Fatalf("seed %d step %d %s: got (%d, len %d, used %d, %+v), want (%d, len %d, used %d, %+v)",
+							seed, step, op, g, got.Len(), got.Used(), got.Stats(), w, want.Len(), want.Used(), want.Stats())
+					}
+					for _, a := range pool {
+						if got.Contains(a) != want.Contains(a) {
+							t.Fatalf("seed %d step %d %s: Contains(%#x) differs", seed, step, op, a)
+						}
+					}
+					checkPageIndex(t, got)
+					if !slices.Equal(evictionOrder(got), evictionOrder(want)) {
+						t.Fatalf("seed %d step %d %s: eviction sequences differ", seed, step, op)
+					}
+				}
+			}
+		})
+	}
+}
+
+func TestInvalidateRangeSteadyStateZeroAlloc(t *testing.T) {
+	// 128 pages of 64 B rows fill a 512 KB buffer exactly. Each run drops
+	// one page and refills it, so the buffer stays full.
+	b := New(512<<10, HTR)
+	const pages = (512 << 10) >> pageShift
+	fill := func(p uint64) {
+		for a := p << pageShift; a < (p+1)<<pageShift; a += 64 {
+			b.Access(a, 64)
+		}
+	}
+	for p := uint64(0); p < pages; p++ {
+		fill(p)
+	}
+	if b.Used() != b.Capacity() {
+		t.Fatalf("used %d of %d after fill", b.Used(), b.Capacity())
+	}
+	var p uint64
+	allocs := testing.AllocsPerRun(500, func() {
+		start := p << pageShift
+		if n := b.InvalidateRange(start, start+1<<pageShift); n != 1<<pageShift/64 {
+			t.Fatalf("page %d: dropped %d rows", p, n)
+		}
+		fill(p)
+		p = (p + 1) % pages
+	})
+	if allocs != 0 {
+		t.Fatalf("InvalidateRange + refill allocates %.1f times per page", allocs)
 	}
 }
