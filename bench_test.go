@@ -264,12 +264,13 @@ func BenchmarkHarnessParallel(b *testing.B) {
 func BenchmarkDRAMStreaming(b *testing.B) {
 	geo := dram.Table2Geometry()
 	tim := dram.DDR5_4800()
+	done := func(int32, sim.Tick) {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
 		c := dram.NewController(eng, geo, tim)
 		for r := 0; r < 1000; r++ {
-			c.Submit(&dram.Request{Addr: uint64(r * 64), Done: func(sim.Tick) {}})
+			c.SubmitRange(uint64(r*64), 64, false, 0, done, 0)
 		}
 		eng.Run()
 	}
@@ -283,12 +284,13 @@ func BenchmarkDRAMRandom(b *testing.B) {
 	for i := range addrs {
 		addrs[i] = (rng.Uint64() % uint64(geo.Capacity())) &^ 63
 	}
+	done := func(int32, sim.Tick) {}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
 		c := dram.NewController(eng, geo, tim)
 		for _, a := range addrs {
-			c.Submit(&dram.Request{Addr: a, Done: func(sim.Tick) {}})
+			c.SubmitRange(a, 64, false, 0, done, 0)
 		}
 		eng.Run()
 	}
@@ -309,14 +311,14 @@ func BenchmarkDRAMRequestPath(b *testing.B) {
 	for i := range addrs {
 		addrs[i] = (rng.Uint64() % uint64(geo.Capacity()-vecBytes)) &^ 63
 	}
-	done := func(sim.Tick) {}
-	c.SubmitBatch(addrs, vecBytes, false, 0, done) // warm the arenas
+	done := func(int32, sim.Tick) {}
+	c.SubmitBatch(addrs, vecBytes, false, 0, done, 0) // warm the arenas
 	eng.Run()
 	b.ReportAllocs()
 	b.SetBytes(rows * vecBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.SubmitBatch(addrs, vecBytes, false, 0, done)
+		c.SubmitBatch(addrs, vecBytes, false, 0, done, 0)
 		eng.Run()
 	}
 }
@@ -341,7 +343,7 @@ func BenchmarkDRAMDeepQueue(b *testing.B) {
 	for i := range addrs {
 		addrs[i] = (rng.Uint64() % uint64(geo.Capacity())) &^ 63
 	}
-	done := func(sim.Tick) {}
+	done := func(int32, sim.Tick) {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -350,7 +352,7 @@ func BenchmarkDRAMDeepQueue(b *testing.B) {
 		c := dram.NewController(eng, geo, dram.DDR4_3200())
 		b.StartTimer()
 		for _, a := range addrs {
-			c.Submit(&dram.Request{Addr: a, Done: done})
+			c.SubmitRange(a, 64, false, 0, done, 0)
 		}
 		eng.Run()
 	}
@@ -415,10 +417,12 @@ func BenchmarkOSBInvalidateRange(b *testing.B) {
 func BenchmarkProcessCore(b *testing.B) {
 	eng := sim.NewEngine()
 	core := pifs.New(eng, pifs.DefaultConfig())
+	core.SetCompletionSink(func(int32, sim.Tick) {})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key := pifs.ClusterKey{SPID: 1, SumTag: uint8(i % 64)}
-		core.Configure(key, 1, 256, 0, func(sim.Tick) {})
+		core.ConfigureTok(key, 1, 256, int32(i))
 		core.Data(key)
 		if i%64 == 63 {
 			eng.Run()

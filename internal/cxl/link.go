@@ -38,14 +38,12 @@ const (
 // and fixed propagation latency. Transfers queue behind one another on the
 // serialization stage (modelling lane occupancy) and then propagate.
 //
-// A link operates in one of two delivery modes. The legacy closure mode
-// (Send) schedules the deliver callback on the link's own engine — fine when
-// both endpoints share a placement group. The mailbox mode (Bind + SendMsg)
-// posts a value-typed message to the destination group instead: the link's
-// state (freeAt, stats) is owned by the sending component's group, and
-// delivery order across groups is fixed by the sharded engine's (time, port,
-// seq) merge. The system simulation uses mailbox mode exclusively so results
-// do not depend on how groups are placed onto workers.
+// A link is bound (Bind) to one destination component and delivers each
+// transfer as a value-typed message through the sending group's mailbox
+// (SendMsg). Its state (freeAt, stats) is owned by the sending component's
+// group, and delivery order across groups is fixed by the sharded engine's
+// (time, port, seq) merge, so results do not depend on how groups are
+// placed onto workers.
 type Link struct {
 	eng        *sim.Engine
 	name       string
@@ -57,7 +55,7 @@ type Link struct {
 	// replays transparently — slow, never lossy). Zero when healthy.
 	downUntil sim.Tick
 
-	// mailbox mode wiring (nil out = closure mode only)
+	// Destination wiring installed by Bind.
 	out         *sim.Outbox
 	port        int32
 	dstGroup    int32
@@ -96,9 +94,6 @@ func (l *Link) Name() string { return l.name }
 // Stats returns a snapshot of accumulated statistics.
 func (l *Link) Stats() LinkStats { return l.stats }
 
-// FreeAt returns the time the serialization stage next becomes idle.
-func (l *Link) FreeAt() sim.Tick { return l.freeAt }
-
 // serNS returns the serialization time for a payload, at least 1 ns so that
 // even header-only flits occupy the lanes.
 func (l *Link) serNS(bytes int) sim.Tick {
@@ -109,19 +104,9 @@ func (l *Link) serNS(bytes int) sim.Tick {
 	return ns
 }
 
-// Send transfers bytes over the link and invokes deliver when the payload
-// arrives at the far end. Send returns the delivery time.
-func (l *Link) Send(bytes int, deliver func(at sim.Tick)) sim.Tick {
-	arrive := l.occupy(bytes)
-	if deliver != nil {
-		l.eng.At(arrive, func() { deliver(arrive) })
-	}
-	return arrive
-}
-
-// Bind switches the link into mailbox mode: SendMsg posts to out with the
-// given port id, destined for dstEndpoint in placement group dstGroup. Call
-// once at wiring time, from the construction path that also fixes port
+// Bind wires the link's destination: SendMsg posts to out with the given
+// port id, destined for dstEndpoint in placement group dstGroup. Call once
+// at wiring time, from the construction path that also fixes port
 // numbering.
 func (l *Link) Bind(out *sim.Outbox, port, dstGroup, dstEndpoint int32) {
 	l.out = out
@@ -137,14 +122,6 @@ func (l *Link) SendMsg(bytes int, p sim.Payload, addrs []uint64) sim.Tick {
 	if l.out == nil {
 		panic(fmt.Sprintf("cxl: link %s SendMsg without Bind", l.name))
 	}
-	arrive := l.occupy(bytes)
-	l.out.Post(l.port, l.dstGroup, l.dstEndpoint, arrive, p, addrs)
-	return arrive
-}
-
-// occupy runs the serialization stage bookkeeping shared by both delivery
-// modes and returns the far-end arrival time.
-func (l *Link) occupy(bytes int) sim.Tick {
 	if bytes <= 0 {
 		panic(fmt.Sprintf("cxl: link %s send of %d bytes", l.name, bytes))
 	}
@@ -166,6 +143,7 @@ func (l *Link) occupy(bytes int) sim.Tick {
 	l.stats.BytesMoved += int64(bytes)
 	l.stats.BusyNS += ser
 	l.stats.WaitNS += start - now
+	l.out.Post(l.port, l.dstGroup, l.dstEndpoint, arrive, p, addrs)
 	return arrive
 }
 
@@ -187,18 +165,4 @@ func (l *Link) Utilization() float64 {
 		return 0
 	}
 	return float64(l.stats.BusyNS) / float64(now)
-}
-
-// Duplex bundles the two directions of a FlexBus connection.
-type Duplex struct {
-	Up   *Link // device/switch -> host direction
-	Down *Link // host -> device/switch direction
-}
-
-// NewDuplex builds a symmetric duplex link.
-func NewDuplex(eng *sim.Engine, name string, gbps float64, propNS sim.Tick) *Duplex {
-	return &Duplex{
-		Down: NewLink(eng, name+".down", gbps, propNS),
-		Up:   NewLink(eng, name+".up", gbps, propNS),
-	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestBatchMatchesSingleSubmits cross-checks the batched path against
-// per-line Submit: the same line sequence must issue identically, so each
+// per-line submits: the same line sequence must issue identically, so each
 // group's batched completion time must equal the max of its lines' single-
 // submit completion times, and the controllers must accumulate identical
 // stats.
@@ -30,11 +30,11 @@ func TestBatchMatchesSingleSubmits(t *testing.T) {
 	for g, base := range bases {
 		g := g
 		for l := 0; l < vecBytes/64; l++ {
-			cA.Submit(&Request{Addr: base + uint64(l*64), Done: func(at sim.Tick) {
+			submitLine(cA, base+uint64(l*64), false, func(at sim.Tick) {
 				if at > wantDone[g] {
 					wantDone[g] = at
 				}
-			}})
+			})
 		}
 	}
 	endA := engA.Run()
@@ -45,7 +45,7 @@ func TestBatchMatchesSingleSubmits(t *testing.T) {
 	gotDone := make([]sim.Tick, groups)
 	for g, base := range bases {
 		g := g
-		cB.SubmitRange(base, vecBytes, false, 0, func(at sim.Tick) { gotDone[g] = at })
+		cB.SubmitRange(base, vecBytes, false, 0, func(_ int32, at sim.Tick) { gotDone[g] = at }, 0)
 	}
 	endB := engB.Run()
 
@@ -80,18 +80,18 @@ func TestSubmitBatchScatteredMatchesRanges(t *testing.T) {
 	cA := NewController(engA, geo, tim)
 	var want sim.Tick
 	for _, a := range addrs {
-		cA.SubmitRange(a, vecBytes, false, 0, func(at sim.Tick) {
+		cA.SubmitRange(a, vecBytes, false, 0, func(_ int32, at sim.Tick) {
 			if at > want {
 				want = at
 			}
-		})
+		}, 0)
 	}
 	engA.Run()
 
 	engB := sim.NewEngine()
 	cB := NewController(engB, geo, tim)
 	var got sim.Tick
-	cB.SubmitBatch(addrs, vecBytes, false, 0, func(at sim.Tick) { got = at })
+	cB.SubmitBatch(addrs, vecBytes, false, 0, func(_ int32, at sim.Tick) { got = at }, 0)
 	engB.Run()
 
 	if got != want {
@@ -108,7 +108,7 @@ func TestBatchExtraLatency(t *testing.T) {
 		eng := sim.NewEngine()
 		c := NewController(eng, geo, tim)
 		var done sim.Tick
-		c.SubmitRange(0, 512, false, extra, func(at sim.Tick) { done = at })
+		c.SubmitRange(0, 512, false, extra, func(_ int32, at sim.Tick) { done = at }, 0)
 		eng.Run()
 		return done
 	}
@@ -129,13 +129,13 @@ func TestArenaReuseNoLeak(t *testing.T) {
 	const rows = 16
 	const vecBytes = 512
 	addrs := make([]uint64, rows)
-	done := func(sim.Tick) {}
+	done := func(int32, sim.Tick) {}
 	for wave := 0; wave < 50; wave++ {
 		for i := range addrs {
 			addrs[i] = uint64((wave*rows+i)*vecBytes) % (uint64(geo.Capacity()) &^ 63)
 		}
-		c.SubmitBatch(addrs, vecBytes, false, 0, done)
-		c.SubmitRange(addrs[0], vecBytes, true, 10, done)
+		c.SubmitBatch(addrs, vecBytes, false, 0, done, 0)
+		c.SubmitRange(addrs[0], vecBytes, true, 10, done, 1)
 		eng.Run()
 		if got := c.InFlightBatches(); got != 0 {
 			t.Fatalf("wave %d: %d batches still in flight after drain", wave, got)
@@ -195,12 +195,13 @@ func TestReqRingMatchesReference(t *testing.T) {
 func TestSubmitBatchValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	c := NewController(eng, Table2Geometry(), DDR5_4800())
+	done := func(int32, sim.Tick) {}
 	cases := map[string]func(){
-		"nil done":     func() { c.SubmitRange(0, 64, false, 0, nil) },
-		"bad size":     func() { c.SubmitRange(0, 65, false, 0, func(sim.Tick) {}) },
-		"zero size":    func() { c.SubmitRange(0, 0, false, 0, func(sim.Tick) {}) },
-		"neg extra":    func() { c.SubmitRange(0, 64, false, -1, func(sim.Tick) {}) },
-		"no addresses": func() { c.SubmitBatch(nil, 64, false, 0, func(sim.Tick) {}) },
+		"nil done":     func() { c.SubmitRange(0, 64, false, 0, nil, 0) },
+		"bad size":     func() { c.SubmitRange(0, 65, false, 0, done, 0) },
+		"zero size":    func() { c.SubmitRange(0, 0, false, 0, done, 0) },
+		"neg extra":    func() { c.SubmitRange(0, 64, false, -1, done, 0) },
+		"no addresses": func() { c.SubmitBatch(nil, 64, false, 0, done, 0) },
 	}
 	for name, fn := range cases {
 		func() {

@@ -11,9 +11,16 @@ func testController(geo Geometry, tim Timing) (*sim.Engine, *Controller) {
 	return eng, NewController(eng, geo, tim)
 }
 
+// submitLine queues one 64 B line as a single-line batch; done receives its
+// completion time. Tests trade the token API's zero allocation for a closure
+// per line.
+func submitLine(c *Controller, addr uint64, write bool, done func(at sim.Tick)) {
+	c.SubmitRange(addr, accessBytes, write, 0, func(_ int32, at sim.Tick) { done(at) }, 0)
+}
+
 func readAt(eng *sim.Engine, c *Controller, addr uint64, at sim.Tick, out *sim.Tick) {
 	eng.At(at, func() {
-		c.Submit(&Request{Addr: addr, Done: func(done sim.Tick) { *out = done }})
+		submitLine(c, addr, false, func(done sim.Tick) { *out = done })
 	})
 }
 
@@ -74,12 +81,12 @@ func TestStreamingBandwidth(t *testing.T) {
 	var last sim.Tick
 	for i := 0; i < n; i++ {
 		addr := uint64(i * accessBytes)
-		c.Submit(&Request{Addr: addr, Done: func(done sim.Tick) {
+		submitLine(c, addr, false, func(done sim.Tick) {
 			remaining--
 			if done > last {
 				last = done
 			}
-		}})
+		})
 	}
 	eng.Run()
 	if remaining != 0 {
@@ -111,11 +118,11 @@ func TestRandomSlowerThanStreaming(t *testing.T) {
 			} else {
 				addr = uint64(i * accessBytes)
 			}
-			c.Submit(&Request{Addr: addr, Done: func(done sim.Tick) {
+			submitLine(c, addr, false, func(done sim.Tick) {
 				if done > last {
 					last = done
 				}
-			}})
+			})
 		}
 		eng.Run()
 		return float64(n*accessBytes) / float64(last)
@@ -130,7 +137,7 @@ func TestRandomSlowerThanStreaming(t *testing.T) {
 func TestWriteCompletes(t *testing.T) {
 	eng, c := testController(Table2Geometry(), DDR5_4800())
 	var done sim.Tick
-	c.Submit(&Request{Addr: 0, IsWrite: true, Done: func(at sim.Tick) { done = at }})
+	submitLine(c, 0, true, func(at sim.Tick) { done = at })
 	eng.Run()
 	if done == 0 {
 		t.Fatal("write never completed")
@@ -146,7 +153,7 @@ func TestDeterminism(t *testing.T) {
 		rng := sim.NewRNG(7)
 		for i := 0; i < 500; i++ {
 			addr := (rng.Uint64() % uint64(c.Geometry().Capacity())) &^ (accessBytes - 1)
-			c.Submit(&Request{Addr: addr, IsWrite: i%5 == 0, Done: func(sim.Tick) {}})
+			submitLine(c, addr, i%5 == 0, func(sim.Tick) {})
 		}
 		end := eng.Run()
 		return end, c.Stats()
@@ -167,11 +174,11 @@ func TestMoreChannelsMoreBandwidth(t *testing.T) {
 		const n = 2000
 		var last sim.Tick
 		for i := 0; i < n; i++ {
-			c.Submit(&Request{Addr: uint64(i * accessBytes), Done: func(done sim.Tick) {
+			submitLine(c, uint64(i*accessBytes), false, func(done sim.Tick) {
 				if done > last {
 					last = done
 				}
-			}})
+			})
 		}
 		eng.Run()
 		return float64(n*accessBytes) / float64(last)
@@ -195,11 +202,11 @@ func TestRefreshCostsBandwidth(t *testing.T) {
 		const n = 20000
 		var last sim.Tick
 		for i := 0; i < n; i++ {
-			c.Submit(&Request{Addr: uint64(i * accessBytes), Done: func(done sim.Tick) {
+			submitLine(c, uint64(i*accessBytes), false, func(done sim.Tick) {
 				if done > last {
 					last = done
 				}
-			}})
+			})
 		}
 		eng.Run()
 		return last
@@ -218,14 +225,13 @@ func TestRefreshCostsBandwidth(t *testing.T) {
 }
 
 func TestSubmitWithoutDonePanics(t *testing.T) {
-	eng, c := testController(Table2Geometry(), DDR5_4800())
-	_ = eng
+	_, c := testController(Table2Geometry(), DDR5_4800())
 	defer func() {
 		if recover() == nil {
-			t.Error("Submit without Done did not panic")
+			t.Error("SubmitRange without a completion func did not panic")
 		}
 	}()
-	c.Submit(&Request{Addr: 0})
+	c.SubmitRange(0, accessBytes, false, 0, nil, 0)
 }
 
 func TestQueueDelayAccumulates(t *testing.T) {
@@ -236,7 +242,7 @@ func TestQueueDelayAccumulates(t *testing.T) {
 	l := geo.Map(0)
 	for i := 0; i < 50; i++ {
 		l.Row = i
-		c.Submit(&Request{Addr: geo.Unmap(l), Done: func(sim.Tick) {}})
+		submitLine(c, geo.Unmap(l), false, func(sim.Tick) {})
 	}
 	eng.Run()
 	st := c.Stats()
@@ -268,14 +274,14 @@ func TestFairnessNoStarvation(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l := hitBase
 		l.Col = i
-		c.Submit(&Request{Addr: geo.Unmap(l), Done: func(sim.Tick) {}})
+		submitLine(c, geo.Unmap(l), false, func(sim.Tick) {})
 	}
-	c.Submit(&Request{Addr: geo.Unmap(other), Done: func(at sim.Tick) { bDone = at }})
+	submitLine(c, geo.Unmap(other), false, func(at sim.Tick) { bDone = at })
 	var lastHit sim.Tick
 	for i := 10; i < 200; i++ {
 		l := hitBase
 		l.Col = i % (geo.RowBytes / accessBytes)
-		c.Submit(&Request{Addr: geo.Unmap(l), Done: func(at sim.Tick) { lastHit = at }})
+		submitLine(c, geo.Unmap(l), false, func(at sim.Tick) { lastHit = at })
 	}
 	eng.Run()
 	if bDone == 0 {

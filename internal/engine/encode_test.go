@@ -10,7 +10,6 @@ import (
 
 	"pifsrec/internal/fault"
 	"pifsrec/internal/scenario"
-	"pifsrec/internal/sim"
 	"pifsrec/internal/trace"
 )
 
@@ -78,7 +77,13 @@ func TestCanonicalBinaryExcludesScheduling(t *testing.T) {
 		t.Error("Shards changed the canonical encoding; it must stay a scheduling decision")
 	}
 	placed := base
-	placed.Placement = sim.RoundRobinPlacement
+	placed.Placement = func(weights []float64, workers int) []int32 { // round-robin deal
+		out := make([]int32, len(weights))
+		for g := range out {
+			out[g] = int32(g % workers)
+		}
+		return out
+	}
 	if !bytes.Equal(want, encodeConfig(t, placed)) {
 		t.Error("Placement changed the canonical encoding; it must stay a scheduling decision")
 	}

@@ -685,8 +685,8 @@ func (s *system) wireLinks() {
 	}
 	if S > 1 {
 		// The inter-switch channels carry the extra forwarding latency of
-		// §VI-C4; requests and partial returns ride separate pipes, like the
-		// legacy pairwise duplexes.
+		// §VI-C4; each ordered switch pair gets one link for forwarded
+		// requests and one for partial returns, so the two never contend.
 		for a := 0; a < S; a++ {
 			for b := 0; b < S; b++ {
 				if a == b {

@@ -68,8 +68,14 @@ func BenchmarkShardedBigConfig(b *testing.B) {
 		policy sim.PlacementPolicy
 	}{
 		{"balanced", nil},
-		{"round-robin", sim.RoundRobinPlacement},
-		{"one-worker", sim.OneWorkerPlacement},
+		{"round-robin", func(weights []float64, workers int) []int32 {
+			out := make([]int32, len(weights))
+			for g := range out {
+				out[g] = int32(g % workers)
+			}
+			return out
+		}},
+		{"one-worker", func(weights []float64, _ int) []int32 { return make([]int32, len(weights)) }},
 	}
 	for _, pl := range placements {
 		b.Run(fmt.Sprintf("shards=4/place=%s", pl.name), func(b *testing.B) {

@@ -114,7 +114,7 @@ func placementPolicies() []struct {
 		name   string
 		policy sim.PlacementPolicy
 	}{
-		{"all-on-one", sim.OneWorkerPlacement},
+		{"all-on-one", func(weights []float64, _ int) []int32 { return make([]int32, len(weights)) }},
 		{"reverse-deal", func(weights []float64, workers int) []int32 {
 			out := make([]int32, len(weights))
 			for g := range out {

@@ -1,17 +1,14 @@
-// Message-mode switch: the sharded fabric's value-typed link protocol.
+// The switch's link protocol: how a fabric switch exchanges work with hosts,
+// devices, and peer switches.
 //
-// In the sharded simulation every host, switch, and device group owns its
-// own engine shard, so the closure chains of the legacy path (a callback
-// captured on one component, executed on another) are replaced by
-// request/response messages routed through the shard mailboxes. Per-request
-// continuation state lives in a pooled arena of value-typed transfer records
-// (xfer); the record index is the token that threads through decode delays,
-// DSP round trips, and Process-Core completions — no per-event closures, no
-// steady-state allocation.
-//
-// The legacy closure API (BypassRead, PIFSFetch, ForwardFetch, ...) remains
-// for standalone component use and tests; a switch operates in exactly one
-// of the two modes.
+// Every host, switch, and device group owns its own engine shard, so a
+// switch never calls into another component: requests and responses are
+// value-typed messages sent on bound cxl.Links and delivered through the
+// shard mailboxes to HandleMsg. Per-request continuation state lives in a
+// pooled arena of value-typed transfer records (xfer); the record index is
+// the token that threads through decode delays, DSP round trips, and
+// Process-Core completions — no per-event closures, no steady-state
+// allocation.
 package fabric
 
 import (
@@ -72,7 +69,7 @@ type Net struct {
 	// DevDown, by this switch's local device index: the DSP down-link.
 	DevDown []*cxl.Link
 	// PeerReq/PeerRsp, by peer switch id: the instruction-forwarding and
-	// partial-return channels (mirroring the legacy pairwise duplexes).
+	// partial-return channels, one link per direction of each switch pair.
 	PeerReq []*cxl.Link
 	PeerRsp []*cxl.Link
 	// PeerHasCore, by switch id: the fabric's CNV bits, so the forwarding
@@ -121,7 +118,7 @@ type FaultParams struct {
 	MaxRetries int32
 }
 
-// msgState is the switch's message-mode machinery.
+// msgState is the switch's link-protocol state.
 type msgState struct {
 	net  Net
 	recs []xfer
@@ -147,14 +144,15 @@ type msgState struct {
 	abortedClusters map[pifs.ClusterKey]struct{}
 }
 
-// BindNet switches the fabric switch into message mode and installs the
-// Process-Core completion sink. Call once at wiring time.
+// BindNet wires the switch to its links and installs the Process-Core
+// completion sink. Call once at wiring time, before registration.
 func (s *Switch) BindNet(n Net) {
-	if s.msg != nil {
+	if s.bound {
 		panic(fmt.Sprintf("fabric: switch %d already bound", s.cfg.ID))
 	}
-	m := &msgState{net: n}
-	s.msg = m
+	s.bound = true
+	m := &s.msg
+	m.net = n
 	m.fnRoute = s.msgRoute
 	m.fnConfig = s.msgConfig
 	m.fnFetch = s.msgFetch
@@ -167,9 +165,6 @@ func (s *Switch) BindNet(n Net) {
 // InFlightRecords reports allocated-but-unreleased transfer records (leak
 // tests).
 func (s *Switch) InFlightRecords() int {
-	if s.msg == nil {
-		return 0
-	}
 	return len(s.msg.recs) - len(s.msg.free)
 }
 
@@ -189,15 +184,12 @@ func (m *msgState) release(id int32) {
 	m.free = append(m.free, id)
 }
 
-// SetFaultParams arms the retry protocol. Call once at wiring time, after
-// BindNet, and only when a fault plan is active: arming changes the packed
-// shape of device-read tokens, so fault-free runs must leave it off to stay
+// SetFaultParams arms the retry protocol. Call once at wiring time, and only
+// when a fault plan is active: arming changes the packed shape of
+// device-read tokens, so fault-free runs must leave it off to stay
 // byte-identical with the plain protocol.
 func (s *Switch) SetFaultParams(p FaultParams) {
-	m := s.msg
-	if m == nil {
-		panic(fmt.Sprintf("fabric: switch %d SetFaultParams without BindNet", s.cfg.ID))
-	}
+	m := &s.msg
 	if p.TimeoutNS <= 0 || p.BackoffNS <= 0 || p.MaxRetries < 0 {
 		panic(fmt.Sprintf("fabric: switch %d invalid fault params %+v", s.cfg.ID, p))
 	}
@@ -210,10 +202,10 @@ func (s *Switch) SetFaultParams(p FaultParams) {
 // on the switch's shard and touches only switch-group state plus the
 // switch-owned send links.
 func (s *Switch) HandleMsg(env sim.Envelope) {
-	m := s.msg
-	if m == nil {
+	if !s.bound {
 		panic(fmt.Sprintf("fabric: switch %d HandleMsg without BindNet", s.cfg.ID))
 	}
+	m := &s.msg
 	now := s.stalledNow()
 	switch env.P.Kind {
 	case KindBypassRow:
@@ -235,7 +227,7 @@ func (s *Switch) HandleMsg(env sim.Envelope) {
 		m.recs[cfgTok] = xfer{kind: xfConfig, key: key, candidates: env.P.U1, srcTok: resTok}
 		s.eng.AtCall(now+s.cfg.DecodeNS, m.fnConfig, cfgTok)
 		for _, addr := range env.Addrs {
-			s.msgPIFSFetch(key, addr)
+			s.msgDataFetch(key, addr)
 		}
 
 	case KindPeerBatch:
@@ -273,9 +265,9 @@ func (s *Switch) HandleMsg(env sim.Envelope) {
 			resTok := m.alloc()
 			m.recs[resTok] = xfer{kind: xfPartial, key: subKey, dstSw: src, srcTok: env.P.U1}
 			s.stats.PIFSConfigs++
-			s.Core.ConfigureTok(subKey, len(env.Addrs), m.net.VecBytes, 0, resTok)
+			s.Core.ConfigureTok(subKey, len(env.Addrs), m.net.VecBytes, resTok)
 			for _, addr := range env.Addrs {
-				s.msgPIFSFetch(subKey, addr)
+				s.msgDataFetch(subKey, addr)
 			}
 			return
 		}
@@ -322,10 +314,10 @@ func (s *Switch) HandleMsg(env sim.Envelope) {
 	}
 }
 
-// msgPIFSFetch starts one DataFetch: decode (plus any translation-unit
+// msgDataFetch starts one DataFetch: decode (plus any translation-unit
 // serialization), buffer lookup, and on a miss the DSP round trip.
-func (s *Switch) msgPIFSFetch(key pifs.ClusterKey, addr uint64) {
-	m := s.msg
+func (s *Switch) msgDataFetch(key pifs.ClusterKey, addr uint64) {
+	m := &s.msg
 	s.stats.PIFSFetches++
 	tok := m.alloc()
 	m.recs[tok] = xfer{kind: xfFetch, key: key, addr: addr}
@@ -338,7 +330,7 @@ func (s *Switch) msgPIFSFetch(key pifs.ClusterKey, addr uint64) {
 // msgRoute doubles as the resend path, so a retry re-enters here after its
 // backoff with the generation already bumped.
 func (s *Switch) msgRoute(tok int32) {
-	m := s.msg
+	m := &s.msg
 	r := &m.recs[tok]
 	dev, devAddr := s.cfg.Route(r.addr)
 	if dev < 0 || dev >= len(m.net.DevDown) {
@@ -356,7 +348,7 @@ func (s *Switch) msgRoute(tok int32) {
 // msgTimeout fires when a device read's reply timer expires: re-issue with
 // exponential backoff while the retry budget lasts, then abort the read.
 func (s *Switch) msgTimeout(tok int32) {
-	m := s.msg
+	m := &s.msg
 	f := m.faults
 	r := &m.recs[tok]
 	s.stats.FaultTimeouts++
@@ -377,7 +369,7 @@ func (s *Switch) msgTimeout(tok int32) {
 // degraded and feeds the core a synthetic candidate so accumulation
 // completes with what arrived.
 func (s *Switch) abortRead(tok int32) {
-	m := s.msg
+	m := &s.msg
 	s.stats.AbortedReads++
 	r := &m.recs[tok]
 	switch r.kind {
@@ -403,15 +395,15 @@ func (s *Switch) abortRead(tok int32) {
 
 // msgConfig programs the cluster after the decode delay.
 func (s *Switch) msgConfig(tok int32) {
-	m := s.msg
+	m := &s.msg
 	r := &m.recs[tok]
-	s.Core.ConfigureTok(r.key, int(r.candidates), m.net.VecBytes, 0, r.srcTok)
+	s.Core.ConfigureTok(r.key, int(r.candidates), m.net.VecBytes, r.srcTok)
 	m.release(tok)
 }
 
 // msgFetch runs a fetch's buffer lookup; misses go to the device.
 func (s *Switch) msgFetch(tok int32) {
-	m := s.msg
+	m := &s.msg
 	r := &m.recs[tok]
 	if s.Buffer != nil && s.Buffer.Access(r.addr, m.net.VecBytes) {
 		s.stats.BufferHits++
@@ -426,7 +418,7 @@ func (s *Switch) msgFetch(tok int32) {
 
 // msgBufHit folds a buffer-served vector into its cluster.
 func (s *Switch) msgBufHit(tok int32) {
-	m := s.msg
+	m := &s.msg
 	key := m.recs[tok].key
 	m.release(tok)
 	s.Core.Data(key)
@@ -434,7 +426,7 @@ func (s *Switch) msgBufHit(tok int32) {
 
 // msgDevData consumes a returned vector according to its pending record.
 func (s *Switch) msgDevData(tok int32) {
-	m := s.msg
+	m := &s.msg
 	r := &m.recs[tok]
 	switch r.kind {
 	case xfBypassRow:
@@ -460,7 +452,7 @@ func (s *Switch) msgDevData(tok int32) {
 // result heads to its host (top-level) or back to the forwarding switch
 // (sub-cluster partial).
 func (s *Switch) msgCoreDone(tok int32, _ sim.Tick) {
-	m := s.msg
+	m := &s.msg
 	r := &m.recs[tok]
 	var degraded uint8
 	if m.abortedClusters != nil {

@@ -144,7 +144,7 @@ func TestReportTablesPlacementInvariant(t *testing.T) {
 	}
 	base := render(nil) // dynamic cost-balanced default
 	policies := []sim.PlacementPolicy{
-		sim.OneWorkerPlacement,
+		func(weights []float64, _ int) []int32 { return make([]int32, len(weights)) }, // all on one
 		func(weights []float64, workers int) []int32 { // reverse deal
 			out := make([]int32, len(weights))
 			for g := range out {

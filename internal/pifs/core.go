@@ -80,23 +80,20 @@ type Stats struct {
 	TagSwitches   int64 // consecutive rows from different clusters
 	SwapSpills    int64 // OoO context switches that overflowed to SRAM
 	InOrderStalls int64 // pipeline flushes in the in-order configuration
-	Backpressured int64 // Configure calls that had to wait for ACR space
+	Backpressured int64 // ConfigureTok calls that had to wait for ACR space
 }
 
 // cluster is one ACR entry. Entries live in a pooled arena referenced by
 // index; a slot stays allocated until its completion event fires, then
 // recycles — steady-state cluster turnover allocates nothing.
 type cluster struct {
-	key        ClusterKey
-	remaining  int
-	vecBytes   int
-	resultAddr uint64
-	// Completion is either a legacy closure (component tests, standalone
-	// use) or a token delivered to the installed sink (the switch's pooled
-	// result records). Exactly one is set.
-	onComplete func(at sim.Tick)
-	tok        int32
-	inSwapReg  bool
+	key       ClusterKey
+	remaining int
+	vecBytes  int
+	// tok is handed to the completion sink when the cluster's sum is
+	// dispatched; the switch uses it to find its pooled result record.
+	tok       int32
+	inSwapReg bool
 }
 
 // Core is the Process Core. Like the rest of the simulator it is
@@ -106,7 +103,7 @@ type Core struct {
 	cfg Config
 
 	active map[ClusterKey]int32
-	// waiting holds Configure requests beyond ACRCapacity (back-pressure on
+	// waiting holds ConfigureTok requests beyond ACRCapacity (back-pressure on
 	// the upstream modules, §IV-A3); head compaction keeps it allocation-free.
 	waiting     []int32
 	waitingHead int
@@ -115,8 +112,8 @@ type Core struct {
 	clusters []cluster
 	freeCl   []int32
 
-	// sink receives token completions; fireFn is the one stored func value
-	// the completion events dispatch through.
+	// sink receives cluster completions; fireFn is the one stored func
+	// value the completion events dispatch through.
 	sink   func(tok int32, at sim.Tick)
 	fireFn func(int32)
 
@@ -148,9 +145,9 @@ func New(eng *sim.Engine, cfg Config) *Core {
 	return c
 }
 
-// SetCompletionSink installs the token-completion receiver used by
-// ConfigureTok clusters. The switch installs one function at wiring time;
-// per-cluster state rides in the token.
+// SetCompletionSink installs the receiver of cluster completions. The
+// switch installs one function at wiring time; per-cluster state rides in
+// the token passed to ConfigureTok.
 func (c *Core) SetCompletionSink(fn func(tok int32, at sim.Tick)) { c.sink = fn }
 
 // Stats returns a snapshot of the counters.
@@ -173,29 +170,15 @@ func (c *Core) allocCluster() int32 {
 	return int32(len(c.clusters) - 1)
 }
 
-// Configure programs a new accumulation cluster: candidates row vectors of
-// vecBytes each will arrive for key; when the SumCandidateCounter reaches
-// zero, onComplete fires with the dispatch time. If the ACR is full the
-// request queues (back-pressure) and is admitted in FIFO order as clusters
-// complete.
-func (c *Core) Configure(key ClusterKey, candidates, vecBytes int, resultAddr uint64, onComplete func(at sim.Tick)) {
-	if onComplete == nil {
-		panic("pifs: Configure without completion callback")
-	}
-	c.configure(key, candidates, vecBytes, resultAddr, onComplete, -1)
-}
-
-// ConfigureTok programs a cluster whose completion is delivered as
-// sink(tok, at) — the closure-free path the switch's pooled result records
-// ride on. A completion sink must be installed.
-func (c *Core) ConfigureTok(key ClusterKey, candidates, vecBytes int, resultAddr uint64, tok int32) {
+// ConfigureTok programs a new accumulation cluster: candidates row vectors
+// of vecBytes each will arrive for key; when the SumCandidateCounter reaches
+// zero, the completion sink receives (tok, dispatch time). If the ACR is
+// full the request queues (back-pressure) and is admitted in FIFO order as
+// clusters complete. A completion sink must be installed.
+func (c *Core) ConfigureTok(key ClusterKey, candidates, vecBytes int, tok int32) {
 	if c.sink == nil {
 		panic("pifs: ConfigureTok without a completion sink")
 	}
-	c.configure(key, candidates, vecBytes, resultAddr, nil, tok)
-}
-
-func (c *Core) configure(key ClusterKey, candidates, vecBytes int, resultAddr uint64, onComplete func(at sim.Tick), tok int32) {
 	if candidates <= 0 {
 		panic(fmt.Sprintf("pifs: cluster %v with %d candidates", key, candidates))
 	}
@@ -210,8 +193,6 @@ func (c *Core) configure(key ClusterKey, candidates, vecBytes int, resultAddr ui
 	cl.key = key
 	cl.remaining = candidates
 	cl.vecBytes = vecBytes
-	cl.resultAddr = resultAddr
-	cl.onComplete = onComplete
 	cl.tok = tok
 	cl.inSwapReg = false
 	if len(c.active) >= c.cfg.ACRCapacity {
@@ -320,20 +301,6 @@ func (c *Core) Remaining(key ClusterKey) int {
 	return -1
 }
 
-// AddCandidates grows a cluster's expected count; the multi-switch forward
-// controller uses this when Sub-SumCandidateCounts replace the original
-// count (§IV-C1).
-func (c *Core) AddCandidates(key ClusterKey, n int) {
-	id, ok := c.active[key]
-	if !ok {
-		panic(fmt.Sprintf("pifs: AddCandidates for unknown cluster %v", key))
-	}
-	if n <= 0 {
-		panic(fmt.Sprintf("pifs: AddCandidates(%d)", n))
-	}
-	c.clusters[id].remaining += n
-}
-
 func (c *Core) complete(id int32, at sim.Tick) {
 	cl := &c.clusters[id]
 	delete(c.active, cl.key)
@@ -365,13 +332,7 @@ func (c *Core) complete(id int32, at sim.Tick) {
 // fireCompletion delivers a completed cluster's result at its dispatch time
 // and recycles the arena slot.
 func (c *Core) fireCompletion(id int32) {
-	cl := &c.clusters[id]
-	done, tok := cl.onComplete, cl.tok
-	cl.onComplete = nil
+	tok := c.clusters[id].tok
 	c.freeCl = append(c.freeCl, id)
-	if done != nil {
-		done(c.eng.Now())
-		return
-	}
 	c.sink(tok, c.eng.Now())
 }

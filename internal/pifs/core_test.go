@@ -6,9 +6,24 @@ import (
 	"pifsrec/internal/sim"
 )
 
-func newCore(cfg Config) (*sim.Engine, *Core) {
+// testCore routes token completions to per-cluster test callbacks: each
+// configure stores its callback and passes the slot index as the token.
+type testCore struct {
+	*Core
+	done []func(at sim.Tick)
+}
+
+func newCore(cfg Config) (*sim.Engine, *testCore) {
 	eng := sim.NewEngine()
-	return eng, New(eng, cfg)
+	c := &testCore{Core: New(eng, cfg)}
+	c.SetCompletionSink(func(tok int32, at sim.Tick) { c.done[tok](at) })
+	return eng, c
+}
+
+// configure programs a cluster whose completion calls done.
+func (c *testCore) configure(key ClusterKey, candidates, vecBytes int, done func(at sim.Tick)) {
+	c.done = append(c.done, done)
+	c.ConfigureTok(key, candidates, vecBytes, int32(len(c.done)-1))
 }
 
 // narrowConfig pins a single-lane 16 B/cycle datapath so cycle-exact
@@ -24,7 +39,7 @@ func TestSingleClusterCompletes(t *testing.T) {
 	eng, c := newCore(narrowConfig())
 	var doneAt sim.Tick
 	key := ClusterKey{SPID: 1, SumTag: 3}
-	c.Configure(key, 3, 64, 0x1000, func(at sim.Tick) { doneAt = at })
+	c.configure(key, 3, 64, func(at sim.Tick) { doneAt = at })
 	for i := 0; i < 3; i++ {
 		c.Data(key)
 	}
@@ -45,7 +60,7 @@ func TestSingleClusterCompletes(t *testing.T) {
 func TestRemainingCountsDown(t *testing.T) {
 	eng, c := newCore(DefaultConfig())
 	key := ClusterKey{SPID: 1, SumTag: 1}
-	c.Configure(key, 2, 64, 0, func(sim.Tick) {})
+	c.configure(key, 2, 64, func(sim.Tick) {})
 	if c.Remaining(key) != 2 {
 		t.Fatal("initial remaining wrong")
 	}
@@ -68,12 +83,12 @@ func TestOoOFasterThanInOrderOnInterleavedTags(t *testing.T) {
 		var last sim.Tick
 		a := ClusterKey{SPID: 1, SumTag: 0}
 		b := ClusterKey{SPID: 1, SumTag: 1}
-		c.Configure(a, 8, 64, 0, func(at sim.Tick) {
+		c.configure(a, 8, 64, func(at sim.Tick) {
 			if at > last {
 				last = at
 			}
 		})
-		c.Configure(b, 8, 64, 0, func(at sim.Tick) {
+		c.configure(b, 8, 64, func(at sim.Tick) {
 			if at > last {
 				last = at
 			}
@@ -99,8 +114,8 @@ func TestInOrderStallsCounted(t *testing.T) {
 	eng, c := newCore(cfg)
 	a := ClusterKey{SumTag: 0}
 	b := ClusterKey{SumTag: 1}
-	c.Configure(a, 2, 64, 0, func(sim.Tick) {})
-	c.Configure(b, 2, 64, 0, func(sim.Tick) {})
+	c.configure(a, 2, 64, func(sim.Tick) {})
+	c.configure(b, 2, 64, func(sim.Tick) {})
 	c.Data(a)
 	c.Data(b) // switch 1
 	c.Data(a) // switch 2; completes a, freeing the register
@@ -119,7 +134,7 @@ func TestSwapSpillBeyondRegisters(t *testing.T) {
 	keys := make([]ClusterKey, 4)
 	for i := range keys {
 		keys[i] = ClusterKey{SumTag: uint8(i)}
-		c.Configure(keys[i], 4, 64, 0, func(sim.Tick) {})
+		c.configure(keys[i], 4, 64, func(sim.Tick) {})
 	}
 	// Round-robin across 4 clusters with only 2 swap registers.
 	for round := 0; round < 4; round++ {
@@ -144,7 +159,7 @@ func TestACRBackpressure(t *testing.T) {
 	done := 0
 	for i := 0; i < 5; i++ {
 		key := ClusterKey{SumTag: uint8(i)}
-		c.Configure(key, 1, 64, 0, func(sim.Tick) { done++ })
+		c.configure(key, 1, 64, func(sim.Tick) { done++ })
 	}
 	if c.ActiveClusters() != 2 || c.PendingConfigures() != 3 {
 		t.Fatalf("active=%d pending=%d, want 2/3", c.ActiveClusters(), c.PendingConfigures())
@@ -172,36 +187,18 @@ func TestLargerVectorsCostMoreCycles(t *testing.T) {
 	eng, c := newCore(narrowConfig())
 	var done64, done256 sim.Tick
 	k64 := ClusterKey{SumTag: 0}
-	c.Configure(k64, 1, 64, 0, func(at sim.Tick) { done64 = at })
+	c.configure(k64, 1, 64, func(at sim.Tick) { done64 = at })
 	c.Data(k64)
 	eng.Run()
 
 	eng2, c2 := newCore(narrowConfig())
 	k256 := ClusterKey{SumTag: 0}
-	c2.Configure(k256, 1, 256, 0, func(at sim.Tick) { done256 = at })
+	c2.configure(k256, 1, 256, func(at sim.Tick) { done256 = at })
 	c2.Data(k256)
 	eng2.Run()
 
 	if done64 != 4 || done256 != 16 {
 		t.Fatalf("64B=%d ns 256B=%d ns, want 4/16", done64, done256)
-	}
-}
-
-func TestAddCandidates(t *testing.T) {
-	eng, c := newCore(DefaultConfig())
-	key := ClusterKey{SumTag: 7}
-	completed := false
-	c.Configure(key, 1, 64, 0, func(sim.Tick) { completed = true })
-	c.AddCandidates(key, 2)
-	c.Data(key)
-	c.Data(key)
-	if completed {
-		t.Fatal("completed before all candidates arrived")
-	}
-	c.Data(key)
-	eng.Run()
-	if !completed {
-		t.Fatal("never completed after AddCandidates")
 	}
 }
 
@@ -211,8 +208,8 @@ func TestMultiHostClustersDoNotCollide(t *testing.T) {
 	h1 := ClusterKey{SPID: 1, SumTag: 5}
 	h2 := ClusterKey{SPID: 2, SumTag: 5}
 	var d1, d2 bool
-	c.Configure(h1, 1, 64, 0, func(sim.Tick) { d1 = true })
-	c.Configure(h2, 2, 64, 0, func(sim.Tick) { d2 = true })
+	c.configure(h1, 1, 64, func(sim.Tick) { d1 = true })
+	c.configure(h2, 2, 64, func(sim.Tick) { d2 = true })
 	c.Data(h1)
 	eng.Run()
 	if !d1 || d2 {
@@ -227,16 +224,15 @@ func TestMultiHostClustersDoNotCollide(t *testing.T) {
 }
 
 func TestPanicsOnMisuse(t *testing.T) {
-	cases := []func(*Core){
-		func(c *Core) { c.Configure(ClusterKey{}, 0, 64, 0, func(sim.Tick) {}) },
-		func(c *Core) { c.Configure(ClusterKey{}, 1, 15, 0, func(sim.Tick) {}) },
-		func(c *Core) { c.Configure(ClusterKey{}, 1, 64, 0, nil) },
-		func(c *Core) { c.Data(ClusterKey{SumTag: 9}) },
-		func(c *Core) {
-			c.Configure(ClusterKey{}, 1, 64, 0, func(sim.Tick) {})
-			c.Configure(ClusterKey{}, 1, 64, 0, func(sim.Tick) {})
+	cases := []func(*testCore){
+		func(c *testCore) { c.configure(ClusterKey{}, 0, 64, func(sim.Tick) {}) },
+		func(c *testCore) { c.configure(ClusterKey{}, 1, 15, func(sim.Tick) {}) },
+		func(c *testCore) { c.SetCompletionSink(nil); c.ConfigureTok(ClusterKey{}, 1, 64, 0) },
+		func(c *testCore) { c.Data(ClusterKey{SumTag: 9}) },
+		func(c *testCore) {
+			c.configure(ClusterKey{}, 1, 64, func(sim.Tick) {})
+			c.configure(ClusterKey{}, 1, 64, func(sim.Tick) {})
 		},
-		func(c *Core) { c.AddCandidates(ClusterKey{SumTag: 3}, 1) },
 	}
 	for i, f := range cases {
 		_, c := newCore(DefaultConfig())
@@ -257,7 +253,7 @@ func TestThroughputSaturatesDatapath(t *testing.T) {
 	eng, c := newCore(narrowConfig())
 	key := ClusterKey{SumTag: 1}
 	var done sim.Tick
-	c.Configure(key, 1000, 64, 0, func(at sim.Tick) { done = at })
+	c.configure(key, 1000, 64, func(at sim.Tick) { done = at })
 	for i := 0; i < 1000; i++ {
 		c.Data(key)
 	}

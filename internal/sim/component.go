@@ -107,24 +107,6 @@ func PlaceGroups(weights []float64, workers int) []int32 {
 	return out
 }
 
-// RoundRobinPlacement deals group g to worker g % workers, ignoring
-// weights — PR 3's static dealing, kept as the baseline the placement
-// benchmarks and invariance tests compare the cost-balanced default
-// against.
-func RoundRobinPlacement(weights []float64, workers int) []int32 {
-	out := make([]int32, len(weights))
-	for g := range out {
-		out[g] = int32(g % workers)
-	}
-	return out
-}
-
-// OneWorkerPlacement piles every group onto worker 0 — the worst-case
-// pile-up the placement tests use as an adversarial policy.
-func OneWorkerPlacement(weights []float64, workers int) []int32 {
-	return make([]int32, len(weights))
-}
-
 // AffinityEdge is one measured-traffic edge between two groups: W envelopes
 // per window (EMA) flowing between groups A and B (A < B; direction does not
 // matter for co-location).

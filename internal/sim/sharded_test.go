@@ -155,7 +155,7 @@ func TestMailboxPlacementInvariance(t *testing.T) {
 		check("dynamic", pingWorkload(n, nil))
 	}
 	policies := map[string]PlacementPolicy{
-		"all-on-one": OneWorkerPlacement,
+		"all-on-one": func(weights []float64, _ int) []int32 { return make([]int32, len(weights)) },
 		"reverse-round-robin": func(weights []float64, workers int) []int32 {
 			out := make([]int32, len(weights))
 			for g := range out {

@@ -273,8 +273,14 @@ func TestWriteBenchSnapshot(t *testing.T) {
 		policy sim.PlacementPolicy
 	}{
 		{"balanced", nil},
-		{"round-robin", sim.RoundRobinPlacement},
-		{"one-worker", sim.OneWorkerPlacement},
+		{"round-robin", func(weights []float64, workers int) []int32 {
+			out := make([]int32, len(weights))
+			for g := range out {
+				out[g] = int32(g % workers)
+			}
+			return out
+		}},
+		{"one-worker", func(weights []float64, _ int) []int32 { return make([]int32, len(weights)) }},
 	}
 	for _, pl := range placements {
 		pl := pl
