@@ -14,6 +14,7 @@ package pifsrec
 //	go test -bench=BenchmarkFig12a
 
 import (
+	"bytes"
 	"container/heap"
 	"fmt"
 	"io"
@@ -456,6 +457,32 @@ func BenchmarkTraceGeneration(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkTraceHash hashes the latency experiments' trace (Meta-like, 16
+// tables x 16384 rows, 16 batches of 4: 1024 bags, 187 KB encoded), which
+// every Job.Hash re-serializes through Trace.Write. allocs/op must not grow
+// with the bag count.
+func BenchmarkTraceHash(b *testing.B) {
+	tr, err := trace.Generate(trace.Spec{
+		Kind: trace.MetaLike, Tables: 16, RowsPerTable: 16384,
+		Batches: 16, BatchSize: 4, BagSize: 32, Seed: 7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var enc bytes.Buffer
+	if err := tr.Write(&enc); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(enc.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tr.Hash(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -20,10 +20,10 @@ const faultChaosSeed = 11
 // (degraded-result) bags, the degraded-time fraction, and goodput —
 // non-degraded bags per simulated second.
 //
-// It is the harness's only two-phase spec: the chaos plans of phase two are
-// derived from phase one's clean runtimes, so the fault configs (and their
-// cache identities — the fault plan is part of the canonical encoding) only
-// exist once the clean results do. Both phases memoize independently.
+// It has two phases: the chaos plans of phase two are derived from phase
+// one's clean runtimes, so the fault configs (and their cache identities —
+// the fault plan is part of the canonical encoding) only exist once the
+// clean results do. Both phases memoize independently.
 func faultSweepSpec() spec {
 	schemes := engine.Schemes()
 	baseConfigs := func() []engine.Config {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"pifsrec/internal/dlrm"
 	"pifsrec/internal/engine"
@@ -58,9 +59,21 @@ func SetNumasimModel(m numasim.Model) numasim.Model {
 	return prev
 }
 
-// traceFor generates the standard trace for a model.
+// traceMemo holds every trace traceFor has generated, by spec. It is a pure
+// cache of a deterministic function, so no caller can tell which call
+// filled it, and it needs no reset. Its keys come only from harness
+// constants, so it stays bounded: the full sweep uses 10 specs, about
+// 0.5 MB of traces.
+var (
+	traceMu   sync.Mutex
+	traceMemo = make(map[trace.Spec]*trace.Trace)
+)
+
+// traceFor returns the standard trace for a model: generated by the first
+// call for its spec, under the lock so that no spec is generated twice, and
+// shared read-only by every later caller.
 func traceFor(kind trace.Kind, m dlrm.ModelConfig, batches int) *trace.Trace {
-	tr, err := trace.Generate(trace.Spec{
+	sp := trace.Spec{
 		Kind:         kind,
 		Tables:       m.Tables,
 		RowsPerTable: m.EmbRows,
@@ -68,10 +81,17 @@ func traceFor(kind trace.Kind, m dlrm.ModelConfig, batches int) *trace.Trace {
 		BatchSize:    4,
 		BagSize:      benchBagSize,
 		Seed:         7,
-	})
+	}
+	traceMu.Lock()
+	defer traceMu.Unlock()
+	if tr, ok := traceMemo[sp]; ok {
+		return tr
+	}
+	tr, err := trace.Generate(sp)
 	if err != nil {
 		panic(err)
 	}
+	traceMemo[sp] = tr
 	return tr
 }
 
@@ -914,8 +934,8 @@ func dramQueueDelaySpec() spec {
 }
 
 // specs maps experiment ids to their job/assemble specs. Constructors are
-// lazy — traces and configs materialize only when an experiment's phase
-// actually runs.
+// lazy: configs are built only when an experiment's phase runs, and their
+// traces come from the traceFor memo, generated at most once per process.
 func specs() map[string]spec {
 	return map[string]spec{
 		"fig5":                fig5Spec(),

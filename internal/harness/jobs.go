@@ -316,9 +316,12 @@ func (r *Runner) runJobs(st *memo.Store, dist Distributor, jobs []Job) []JobResu
 // spec is one experiment in job/assemble form: an ordered list of phases —
 // each producing a job list, later phases seeing all earlier results — and
 // a pure assembly function mapping the concatenated results to the printed
-// table. Single-phase specs cover every experiment except the fault sweep
-// (whose chaos plans are scaled by the clean phase's runtimes); zero-phase
-// specs are analytic tables (TCO, power) with no simulation behind them.
+// table. Most experiments have one phase. Four have more: the fault sweep
+// has 2 (its chaos plans are scaled by the clean phase's runtimes),
+// latency-knee and latency-sweep have 3 (closed-loop capacity, unloaded
+// probe, load grid), and max-qps has 8 (the same two probes, then one phase
+// per bisection step). Zero-phase specs are analytic tables (TCO, power)
+// with no simulation behind them.
 type spec struct {
 	phases   []phaseFn
 	assemble func(results []JobResult) *report.Table
@@ -341,10 +344,15 @@ func (r *Runner) runSpec(sp spec) *report.Table {
 	return sp.assemble(results)
 }
 
-// Jobs returns an experiment's declarative job list — the first phase's
-// jobs, which for every experiment but the fault sweep is the complete
-// list (the fault sweep's second phase derives fault plans from the first
-// phase's results). Unknown ids and purely analytic experiments return nil.
+// Jobs returns an experiment's declarative job list: its first phase's
+// jobs. For a single-phase experiment that is the complete list. The fault
+// sweep, latency-knee, latency-sweep and max-qps derive their later phases
+// from earlier results (see spec), so Jobs returns only their first phase.
+// Unknown ids and purely analytic experiments return nil.
+//
+// The returned jobs share their traces with every other job built on the
+// same trace spec, in this and every later call. A caller that changes a
+// job copies its engine.Config first and never modifies Trace.Bags.
 func Jobs(id string) []Job {
 	sp, ok := specs()[id]
 	if !ok || len(sp.phases) == 0 {

@@ -88,6 +88,7 @@ func TestMemoizedTablesByteIdentical(t *testing.T) {
 
 	again := renderAll(t)
 	diffTables(t, baseline, again, "warm cache after unrelated insert")
+	checkMemoizedTracesUnmutated(t)
 }
 
 // TestOneConfigEditExactlyOneMiss is the incremental re-simulation

@@ -24,52 +24,46 @@ import (
 
 var fileMagic = [8]byte{'P', 'I', 'F', 'S', 'T', 'R', 'C', '1'}
 
-// Write serializes the trace to w.
+// Write serializes the trace to w: the header in one write, then one write
+// per bag. Every write reuses one scratch buffer, so the allocations do not
+// grow with the bag count. w is not buffered here; Save wraps its file in a
+// bufio.Writer.
 func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(fileMagic[:]); err != nil {
-		return err
-	}
 	if len(t.Name) > math.MaxUint16 {
 		return fmt.Errorf("trace: name too long (%d bytes)", len(t.Name))
 	}
-	var u16 [2]byte
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(t.Name)))
-	bw.Write(u16[:])
-	bw.WriteString(t.Name)
-
-	var u32 [4]byte
-	var u64 [8]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(t.Tables))
-	bw.Write(u32[:])
-	binary.LittleEndian.PutUint64(u64[:], uint64(t.RowsPerTable))
-	bw.Write(u64[:])
-	binary.LittleEndian.PutUint64(u64[:], uint64(len(t.Bags)))
-	bw.Write(u64[:])
+	le := binary.LittleEndian
+	buf := make([]byte, 0, 4096)
+	buf = append(buf, fileMagic[:]...)
+	buf = le.AppendUint16(buf, uint16(len(t.Name)))
+	buf = append(buf, t.Name...)
+	buf = le.AppendUint32(buf, uint32(t.Tables))
+	buf = le.AppendUint64(buf, uint64(t.RowsPerTable))
+	buf = le.AppendUint64(buf, uint64(len(t.Bags)))
+	if _, err := w.Write(buf); err != nil {
+		return err
+	}
 
 	for i := range t.Bags {
 		b := &t.Bags[i]
-		binary.LittleEndian.PutUint32(u32[:], uint32(b.Table))
-		bw.Write(u32[:])
 		flags := byte(0)
 		if b.Weights != nil {
 			flags |= 1
 		}
-		bw.WriteByte(flags)
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(b.Indices)))
-		bw.Write(u32[:])
+		buf = le.AppendUint32(buf[:0], uint32(b.Table))
+		buf = append(buf, flags)
+		buf = le.AppendUint32(buf, uint32(len(b.Indices)))
 		for _, ix := range b.Indices {
-			binary.LittleEndian.PutUint32(u32[:], ix)
-			bw.Write(u32[:])
+			buf = le.AppendUint32(buf, ix)
 		}
-		if b.Weights != nil {
-			for _, wt := range b.Weights {
-				binary.LittleEndian.PutUint32(u32[:], math.Float32bits(wt))
-				bw.Write(u32[:])
-			}
+		for _, wt := range b.Weights {
+			buf = le.AppendUint32(buf, math.Float32bits(wt))
+		}
+		if _, err := w.Write(buf); err != nil {
+			return err
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 // Read deserializes a trace written by Write.
@@ -182,7 +176,12 @@ func (t *Trace) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	if err := t.Write(f); err != nil {
+	bw := bufio.NewWriter(f)
+	err = t.Write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
 		f.Close()
 		return err
 	}
