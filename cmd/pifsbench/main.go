@@ -21,34 +21,14 @@ import (
 
 	"pifsrec/internal/harness"
 	"pifsrec/internal/memo"
-	"pifsrec/internal/numasim"
 )
 
 func main() {
 	experiment := flag.String("experiment", "all", "experiment id (see -list) or 'all'")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	model := flag.String("model", string(numasim.ModelAnalytic),
-		"numasim implementation for fig5/fig6: analytic (closed form) or event (component simulation; see numasim-parity)")
 	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory (created if missing; warm sweeps re-simulate only configs the cache has never seen)")
-	shards := flag.Int("shards", 0, "engine shards per simulation (0 = split the pool's cores automatically; clamped per config to its component-group count; results are identical at any count)")
-	placement := flag.String("placement", "", "dynamic placement flavor for every job: affinity (traffic-aware co-location, the default) or weight (weight-only LPT); pure scheduling, tables are identical either way")
 	coordinator := flag.String("coordinator", "", "sweep-service base URL (e.g. http://host:8080): fetch tables via GET /v1/run instead of simulating locally (the service's worker fleet and cache do the work; tables are byte-identical)")
 	flag.Parse()
-
-	// Scheduling flags fail fast with exit code 2 before any sweep starts.
-	// The per-config upper bound (component groups) varies across a sweep,
-	// so over-asking clamps per config; negative counts are always a typo.
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "pifsbench: -shards %d must be at least 1 (or 0 for the automatic core split)\n", *shards)
-		os.Exit(2)
-	}
-	switch *placement {
-	case "", "affinity", "weight":
-	default:
-		fmt.Fprintf(os.Stderr, "pifsbench: unknown -placement %q (have affinity, weight)\n", *placement)
-		os.Exit(2)
-	}
-	harness.SetJobScheduling(*shards, *placement)
 
 	// The cache directory is probed before any sweep starts: a path that
 	// cannot be created or written is a usage error now, not a degraded
@@ -60,14 +40,6 @@ func main() {
 			os.Exit(2)
 		}
 		harness.SetStore(store)
-	}
-
-	switch numasim.Model(*model) {
-	case numasim.ModelAnalytic, numasim.ModelEvent:
-		harness.SetNumasimModel(numasim.Model(*model))
-	default:
-		fmt.Fprintf(os.Stderr, "pifsbench: unknown -model %q (have %v)\n", *model, numasim.NumasimModels())
-		os.Exit(2)
 	}
 
 	if *list {

@@ -1,7 +1,7 @@
 // Command pifssim runs one simulation configuration and prints the
 // measured counters — or, with -serve, stays up as a sweep service that
-// answers experiment and raw-config requests through the content-addressed
-// result cache.
+// answers experiment requests through the content-addressed result cache
+// and simulates raw-config requests directly.
 //
 // Usage:
 //
@@ -47,7 +47,6 @@ func main() {
 	buffer := flag.Int("buffer", 512<<10, "on-switch buffer bytes (PIFS-Rec)")
 	shards := flag.Int("shards", 1, "engine shards (conservative-window intra-sim parallelism; results are identical at any count and placement)")
 	placement := flag.String("placement", "affinity", "dynamic placement flavor: affinity (traffic-aware co-location) or weight (weight-only LPT); pure scheduling, results are identical either way")
-	splitBanks := flag.Bool("split-banks", false, "run every DRAM channel bank on its own placement group (models per-bank hop latency — a different machine, so results differ from the fused default)")
 	faults := flag.String("faults", "", "fault-injection plan (JSON file; see internal/fault)")
 	scenarioFile := flag.String("scenario", "", "open-loop arrival scenario (JSON file; see internal/scenario) — adds tail-latency and goodput-under-SLO reporting")
 	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory (created if missing; sweeps re-simulate only configs the cache has never seen)")
@@ -164,7 +163,7 @@ func main() {
 	// clamping. The bound comes from the engine's own defaulting
 	// (Config.ComponentGroups), so zero-valued flags count what the run
 	// will really assemble.
-	bound := pifsrec.Config{Hosts: *hosts, Switches: *switches, Devices: *devices, SplitBanks: *splitBanks}
+	bound := pifsrec.Config{Hosts: *hosts, Switches: *switches, Devices: *devices}
 	if groups := bound.ComponentGroups(); *shards < 1 || *shards > groups {
 		fmt.Fprintf(os.Stderr,
 			"pifssim: -shards %d outside [1, %d]: the configuration has %d component groups (hosts + switches + devices after defaulting)\n",
@@ -251,7 +250,6 @@ func main() {
 		Hosts:         *hosts,
 		Shards:        *shards,
 		PlacementMode: *placement,
-		SplitBanks:    *splitBanks,
 		BufferBytes:   *buffer,
 		Faults:        plan,
 		Scenario:      sc,

@@ -110,18 +110,6 @@ func (d *Type3Device) CostWeight() float64 { return 1 }
 // components (registered aux so per-bank load is attributable).
 func (d *Type3Device) Banks() []*dram.ChannelBank { return d.ctl.Banks() }
 
-// EnableSplitBanks moves each backing DRAM channel onto its own placement
-// group (dram.Controller.EnableSplit); RegisterSplitBanks registers the
-// per-bank endpoints after the fixed endpoint space. See dram's split-bank
-// protocol for the wiring contract.
-func (d *Type3Device) EnableSplitBanks(se *sim.ShardedEngine)   { d.ctl.EnableSplit(se) }
-func (d *Type3Device) RegisterSplitBanks(se *sim.ShardedEngine) { d.ctl.RegisterSplit(se) }
-
-// ChannelEngine returns the engine DRAM channel idx schedules on — the
-// bank group's engine in split mode — so fault injection can run channel
-// events on the channel's own shard.
-func (d *Type3Device) ChannelEngine(idx int) *sim.Engine { return d.ctl.ChannelEngine(idx) }
-
 // Capacity returns the device's byte capacity.
 func (d *Type3Device) Capacity() int64 { return d.ctl.Geometry().Capacity() }
 

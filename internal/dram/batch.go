@@ -95,13 +95,6 @@ func (c *Controller) SubmitRange(addr uint64, bytes int, isWrite bool, extraNS s
 	checkBatchArgs(bytes, extraNS, fnc)
 	lines := bytes / accessBytes
 	batch := c.allocBatch(lines, extraNS, fnc, arg)
-	if c.split != nil {
-		for l := 0; l < lines; l++ {
-			c.stageSplitLine(addr + uint64(l*accessBytes))
-		}
-		c.flushSplit(batch, isWrite)
-		return
-	}
 	for l := 0; l < lines; l++ {
 		c.enqueueLine(addr+uint64(l*accessBytes), isWrite, batch)
 	}
@@ -119,15 +112,6 @@ func (c *Controller) SubmitBatch(addrs []uint64, vecBytes int, isWrite bool, ext
 	}
 	lines := vecBytes / accessBytes
 	batch := c.allocBatch(len(addrs)*lines, extraNS, fnc, arg)
-	if c.split != nil {
-		for _, addr := range addrs {
-			for l := 0; l < lines; l++ {
-				c.stageSplitLine(addr + uint64(l*accessBytes))
-			}
-		}
-		c.flushSplit(batch, isWrite)
-		return
-	}
 	for _, addr := range addrs {
 		for l := 0; l < lines; l++ {
 			c.enqueueLine(addr+uint64(l*accessBytes), isWrite, batch)

@@ -42,12 +42,11 @@ func (s Stats) MeanQueueDelayNS() float64 {
 }
 
 // Controller models one memory node: a set of channels, each with its own
-// bank array, FR-FCFS scheduler, request arena, and statistics — the
-// channel loop is fully self-contained per bank, which is what lets each
-// channel surface as a separate placement-cost component (ChannelBank) and
-// keeps a future per-bank engine split a wiring change rather than a
-// rewrite. It is not safe for concurrent use; all interaction happens on
-// the owning group's engine.
+// bank array, FR-FCFS scheduler, request arena, and statistics. Every
+// channel runs on the controller's engine; each also surfaces as a separate
+// placement-cost component (ChannelBank), so a node's weight tracks its
+// channel count. It is not safe for concurrent use; all interaction happens
+// on the owning group's engine.
 type Controller struct {
 	eng   *sim.Engine
 	geo   Geometry
@@ -60,10 +59,6 @@ type Controller struct {
 	freeBatches []int32
 
 	banks []*ChannelBank
-
-	// split is non-nil in split-bank mode (see split.go): channels live on
-	// their own placement groups and submits/completions ride the mailbox.
-	split *splitCtl
 }
 
 // NewController builds a controller. It panics on invalid configuration:
@@ -135,14 +130,8 @@ type ChannelBank struct {
 // Channel returns the bank's channel index within its controller.
 func (b *ChannelBank) Channel() int { return b.ch.idx }
 
-// ComponentGroup returns the owning controller's placement group — or the
-// bank's own group in split mode, where the bank is a real endpoint.
-func (b *ChannelBank) ComponentGroup() int32 {
-	if b.ch.sp != nil {
-		return b.ch.sp.group
-	}
-	return b.ch.ctl.group
-}
+// ComponentGroup returns the owning controller's placement group.
+func (b *ChannelBank) ComponentGroup() int32 { return b.ch.ctl.group }
 
 // CostWeight scales with the channel's peak bandwidth, so DDR5 banks weigh
 // more than DDR4 banks and a group's seed tracks its real service capacity.
@@ -150,13 +139,8 @@ func (b *ChannelBank) CostWeight() float64 {
 	return b.ch.ctl.tim.PeakBandwidthGBs() / 16
 }
 
-// HandleMsg consumes owner->bank line batches in split mode; outside split
-// mode banks are cost components, not endpoints, and it panics.
+// HandleMsg panics: banks are cost components, not endpoints.
 func (b *ChannelBank) HandleMsg(env sim.Envelope) {
-	if b.ch.sp != nil && env.P.Kind == KindBankLines {
-		b.ch.sp.handleLines(b.ch, env)
-		return
-	}
 	panic(fmt.Sprintf("dram: channel bank %d got message kind %#x", b.ch.idx, env.P.Kind))
 }
 
@@ -236,13 +220,12 @@ type bank struct {
 	actReadyAt sim.Tick
 }
 
-// channel is one self-contained bank loop: its own engine handle, request
-// arena, queue, scheduler state, and statistics. The only controller-level
-// state it touches is the shared batch table (a batch's lines may span
-// channels), so a bank always runs in its controller's placement group.
+// channel is one self-contained bank loop: its own request arena, queue,
+// scheduler state, and statistics. The only controller-level state it
+// touches is the shared batch table (a batch's lines may span channels), so
+// a bank always runs in its controller's placement group.
 type channel struct {
 	ctl     *Controller
-	eng     *sim.Engine // the owning group's engine (per-bank handle)
 	idx     int
 	banks   []bank
 	rankAct []sim.Tick // per-rank earliest next activate (tRRD)
@@ -256,10 +239,6 @@ type channel struct {
 	// serviceThunk is the one closure this channel ever schedules; reusing
 	// it keeps the kick path allocation-free.
 	serviceThunk func()
-
-	// sp is non-nil in split-bank mode: this channel lives on its own
-	// placement group and reports completions through the mailbox.
-	sp *splitChan
 
 	// Pooled channel-local request arena with free-list recycling.
 	reqs     []request
@@ -276,7 +255,6 @@ func newChannel(c *Controller, idx int) *channel {
 	t := c.tim
 	ch := &channel{
 		ctl:     c,
-		eng:     c.eng,
 		idx:     idx,
 		banks:   make([]bank, c.geo.TotalBanks()),
 		rankAct: make([]sim.Tick, c.geo.Ranks),
@@ -309,7 +287,7 @@ func (ch *channel) allocReq() int32 {
 
 func (ch *channel) enqueue(id int32) {
 	ch.q.push(id)
-	ch.kick(ch.eng.Now())
+	ch.kick(ch.ctl.eng.Now())
 }
 
 func (ch *channel) kick(at sim.Tick) {
@@ -317,7 +295,7 @@ func (ch *channel) kick(at sim.Tick) {
 		return
 	}
 	ch.kicked = true
-	ch.eng.At(at, ch.serviceThunk)
+	ch.ctl.eng.At(at, ch.serviceThunk)
 }
 
 // refreshAdjust pushes t past any refresh window it falls into. Refresh is
@@ -342,7 +320,7 @@ func (ch *channel) refreshAdjust(t sim.Tick) sim.Tick {
 // which is where bank-level parallelism comes from. Each issued line's arena
 // slot is recycled immediately; completion is accounted on the line's batch.
 func (ch *channel) service() {
-	now := ch.eng.Now()
+	now := ch.ctl.eng.Now()
 	if ch.offlineUntil > now {
 		ch.kick(ch.offlineUntil)
 		return
@@ -371,11 +349,7 @@ func (ch *channel) service() {
 		}
 		batch := rq.batch
 		ch.freeReqs = append(ch.freeReqs, id)
-		if ch.sp != nil {
-			ch.sp.lineIssued(ch, batch, doneAt)
-		} else {
-			ch.ctl.lineIssued(batch, doneAt)
-		}
+		ch.ctl.lineIssued(batch, doneAt)
 	}
 }
 

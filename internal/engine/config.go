@@ -87,15 +87,6 @@ type Config struct {
 	// NOT part of the canonical config encoding.
 	PlacementMode string
 
-	// SplitBanks moves every DRAM channel bank (host DIMM populations and
-	// CXL device controllers alike) onto its own placement group: submits
-	// and completions ride the mailbox with one conservative window of
-	// latency each way, and the packer can move memory work off hot host
-	// shards. This changes the simulated machine (per-bank hop latency), so
-	// it IS part of the canonical config encoding, and ComponentGroups
-	// grows by the total channel count.
-	SplitBanks bool
-
 	// DisableBarrierElision turns off empty-window barrier elision (the
 	// pay-as-you-go synchronization fast path). Elision is pure scheduling
 	// — results are byte-identical either way — so the flag exists for
@@ -152,21 +143,12 @@ type Config struct {
 }
 
 // ComponentGroups returns the number of placement groups the configuration
-// assembles — hosts + switches + devices after defaulting, plus one group
-// per DRAM channel under SplitBanks — which is the largest Shards value
-// that buys any parallelism. CLI front-ends and the harness runner reject
-// requests outside [1, ComponentGroups].
+// assembles — hosts + switches + devices after defaulting — which is the
+// largest Shards value that buys any parallelism. CLI front-ends and the
+// harness runner reject requests outside [1, ComponentGroups].
 func (c Config) ComponentGroups() int {
 	h, s, d := defaultCounts(c.Hosts, c.Switches, c.Devices)
-	n := h + s + d
-	if c.SplitBanks {
-		hostGeo := localGeometry()
-		if c.Scheme == RecNMP {
-			hostGeo = nmpGeometry()
-		}
-		n += h*hostGeo.Channels + d*deviceGeometry().Channels
-	}
-	return n
+	return h + s + d
 }
 
 // defaultCounts resolves zero host/switch/device counts to their defaults —
@@ -247,6 +229,13 @@ func (c *Config) fillDefaults() error {
 	if c.Trace.Tables != c.Model.Tables || c.Trace.RowsPerTable != c.Model.EmbRows {
 		return fmt.Errorf("engine: trace shape (%d tables × %d rows) does not match model (%d × %d)",
 			c.Trace.Tables, c.Trace.RowsPerTable, c.Model.Tables, c.Model.EmbRows)
+	}
+	// PIFSTRC1 admits bags with no indices, but an SLS bag must read at
+	// least one row.
+	for i := range c.Trace.Bags {
+		if len(c.Trace.Bags[i].Indices) == 0 {
+			return fmt.Errorf("engine: trace bag %d has no indices", i)
+		}
 	}
 	if c.Faults != nil {
 		if c.Faults.Empty() {

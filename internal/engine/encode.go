@@ -31,10 +31,8 @@ var configMagic = [8]byte{'P', 'I', 'F', 'S', 'C', 'F', 'G', 0 + configEncodingV
 // deliberately NOT part of the identity: results are byte-identical at
 // every shard count and under every placement policy and scheduling flavor
 // (the determinism gates from the sharded-engine and component-model work),
-// so they are scheduling decisions, not inputs. SplitBanks IS encoded — it
-// changes the simulated machine (per-bank hop latency), not just its
-// schedule. The trace contributes its content hash (trace.Trace.Hash), not
-// its bytes.
+// so they are scheduling decisions, not inputs. The trace contributes its
+// content hash (trace.Trace.Hash), not its bytes.
 func (c Config) CanonicalBinary() ([]byte, error) {
 	norm := c
 	if err := norm.fillDefaults(); err != nil {
@@ -76,7 +74,9 @@ func (c Config) CanonicalBinary() ([]byte, error) {
 	b = appendBool(b, norm.DisablePM)
 	b = appendBool(b, norm.DisableOSB)
 	b = appendBool(b, norm.TPPPolicy)
-	b = appendBool(b, norm.SplitBanks)
+	// A retired v2 field's slot, always false: writing it keeps every
+	// existing cache key valid.
+	b = appendBool(b, false)
 
 	// Fault plan: normalization already dropped empty plans, so presence is
 	// meaningful. Encoded as its (deterministic) JSON form: struct fields

@@ -521,18 +521,6 @@ func build(cfg Config) (*system, error) {
 		}
 	}
 
-	// Split-bank mode: every DRAM channel gets its own placement group,
-	// allocated after the fixed host/switch/device groups in construction
-	// order (hosts' banks, then devices').
-	if cfg.SplitBanks {
-		for _, h := range s.hosts {
-			h.localDRAM.EnableSplit(s.se)
-		}
-		for _, dev := range s.devs {
-			dev.EnableSplitBanks(s.se)
-		}
-	}
-
 	s.wireLinks()
 	if cfg.Faults != nil {
 		s.armFaults(cfg.Faults)
@@ -595,15 +583,12 @@ func (s *system) barrierIdle() bool {
 // registry. The order fixes endpoint ids; it must match the endpoint
 // helpers and never depend on worker count or placement.
 func (s *system) register() {
-	split := s.cfg.SplitBanks
 	for _, h := range s.hosts {
 		if ep := s.se.Register(h); ep != s.hostEndpoint(h.id) {
 			panic(fmt.Sprintf("engine: host %d registered as endpoint %d", h.id, ep))
 		}
-		if !split {
-			for _, b := range h.localDRAM.Banks() {
-				s.se.RegisterAux(b)
-			}
+		for _, b := range h.localDRAM.Banks() {
+			s.se.RegisterAux(b)
 		}
 	}
 	for w, sw := range s.switches {
@@ -615,21 +600,8 @@ func (s *system) register() {
 		if ep := s.se.Register(dev); ep != s.deviceEndpoint(d) {
 			panic(fmt.Sprintf("engine: device %d registered as endpoint %d", d, ep))
 		}
-		if !split {
-			for _, b := range dev.Banks() {
-				s.se.RegisterAux(b)
-			}
-		}
-	}
-	// Split-bank endpoints (hub + banks per controller) extend the id space
-	// past the fixed endpoints, in the same hosts-then-devices order as
-	// their group allocation.
-	if split {
-		for _, h := range s.hosts {
-			h.localDRAM.RegisterSplit(s.se)
-		}
-		for _, dev := range s.devs {
-			dev.RegisterSplitBanks(s.se)
+		for _, b := range dev.Banks() {
+			s.se.RegisterAux(b)
 		}
 	}
 }

@@ -244,6 +244,23 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestZeroIndexBagIsConfigError: PIFSTRC1 admits a bag with no indices,
+// but no scheme can run one, so Run and CanonicalBinary both reject it as a
+// config error naming the bag instead of panicking in bag dispatch.
+func TestZeroIndexBagIsConfigError(t *testing.T) {
+	model := testModel()
+	tr := testTrace(t, trace.Uniform, model, 1)
+	tr.Bags[3].Indices = nil
+	cfg := Config{Scheme: PIFSRec, Model: model, Trace: tr, Seed: 3}
+	const want = "engine: trace bag 3 has no indices"
+	if _, err := Run(cfg); err == nil || err.Error() != want {
+		t.Errorf("Run: error %v, want %q", err, want)
+	}
+	if _, err := cfg.CanonicalBinary(); err == nil || err.Error() != want {
+		t.Errorf("CanonicalBinary: error %v, want %q", err, want)
+	}
+}
+
 func TestUniformTraceRunsAllSchemes(t *testing.T) {
 	model := testModel()
 	tr := testTrace(t, trace.Uniform, model, 1)

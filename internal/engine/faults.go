@@ -89,9 +89,7 @@ func (s *system) armFaults(p *fault.Plan) {
 		case fault.DRAMOffline:
 			dev := s.devs[ev.Device]
 			ch := ev.Channel
-			// The channel's own engine: the device group's in the default
-			// wiring, the bank group's under split banks.
-			dev.ChannelEngine(ch).At(at, func() { dev.FaultChannelOffline(ch, end) })
+			s.deviceEng(ev.Device).At(at, func() { dev.FaultChannelOffline(ch, end) })
 		case fault.SwitchStall:
 			sw := s.switches[ev.Switch]
 			s.se.Group(int(s.switchEndpoint(ev.Switch))).At(at, func() { sw.FaultStall(end) })

@@ -56,7 +56,8 @@ func TestOpenLoopScenarioSmoke(t *testing.T) {
 	// No SLO: every (non-degraded) completion counts, and there are no
 	// faults to degrade any.
 	if lat.SLONS != 0 || lat.WithinSLO != lat.Requests || lat.GoodputQPS <= 0 {
-		t.Fatalf("SLO accounting wrong without an SLO: %+v", lat)	}
+		t.Fatalf("SLO accounting wrong without an SLO: %+v", lat)
+	}
 }
 
 // TestOpenLoopTailGrowsWithLoad is the knee in miniature: the same system

@@ -259,57 +259,6 @@ func TestAffinityCutsCrossShardTraffic(t *testing.T) {
 	}
 }
 
-// TestSplitBanksDeterminism pins the per-bank shard-engine machine: split
-// banks change the simulated system (one window of submit/complete latency
-// per channel hop), so results differ from the default wiring — but within
-// the split machine they stay byte-identical at every shard count,
-// placement mode, and adversarial static placement.
-func TestSplitBanksDeterminism(t *testing.T) {
-	cfg := affinityGateConfig(t)
-	fused, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	split := cfg
-	split.SplitBanks = true
-	base, err := Run(split)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.TotalNS == fused.TotalNS {
-		t.Error("split banks left TotalNS unchanged — the per-bank hop latency never materialized")
-	}
-	if groups, fusedGroups := split.ComponentGroups(), cfg.ComponentGroups(); groups <= fusedGroups {
-		t.Errorf("split ComponentGroups() = %d, want more than the fused %d", groups, fusedGroups)
-	}
-	for _, n := range []int{2, 3, 4} {
-		for _, mode := range []string{"affinity", "weight"} {
-			run := split
-			run.Shards = n
-			run.PlacementMode = mode
-			r, err := Run(run)
-			if err != nil {
-				t.Fatalf("split shards=%d mode=%s: %v", n, mode, err)
-			}
-			if !reflect.DeepEqual(noSched(base), noSched(r)) {
-				t.Errorf("split banks: shards=%d mode=%s diverged from the 1-shard split reference", n, mode)
-			}
-		}
-		for _, pp := range placementPolicies() {
-			run := split
-			run.Shards = n
-			run.Placement = pp.policy
-			r, err := Run(run)
-			if err != nil {
-				t.Fatalf("split shards=%d placement=%s: %v", n, pp.name, err)
-			}
-			if !reflect.DeepEqual(noSched(base), noSched(r)) {
-				t.Errorf("split banks: shards=%d placement=%s diverged", n, pp.name)
-			}
-		}
-	}
-}
-
 // TestBarrierElisionFiresAndStaysInvisible checks the empty-barrier fast
 // path end to end: a RecNMP run (long local-DRAM stretches between fabric
 // exchanges) must elide a meaningful share of its windows, and disabling

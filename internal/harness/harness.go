@@ -45,20 +45,6 @@ func scaledRMC4() dlrm.ModelConfig { return dlrm.RMC4().Scaled(64) }
 // pooling runs in the tens of rows per lookup.
 const benchBagSize = 32
 
-// numasimModel selects the implementation behind the §III characterization
-// figures (Fig 5/6): the analytic closed form by default, or the
-// event-driven component simulation. Both agree within the parity gate;
-// pifsbench -model switches at the CLI.
-var numasimModel = numasim.ModelAnalytic
-
-// SetNumasimModel selects the numasim implementation used by Fig5/Fig6 and
-// returns the previous choice.
-func SetNumasimModel(m numasim.Model) numasim.Model {
-	prev := numasimModel
-	numasimModel = m
-	return prev
-}
-
 // traceMemo holds every trace traceFor has generated, by spec. It is a pure
 // cache of a deterministic function, so no caller can tell which call
 // filled it, and it needs no reset. Its keys come only from harness
@@ -121,10 +107,11 @@ func engineJob(cfg engine.Config) Job {
 	return Job{Engine: &c}
 }
 
-// numaJob wraps a numasim evaluation (under the current numasimModel) as a
-// Job.
+// numaJob wraps an analytic numasim evaluation as a Job; the §III
+// characterization figures (Fig 5/6) use the closed form, and
+// numasim-parity holds the event-driven model to it.
 func numaJob(p numasim.Platform, w numasim.Workload, place numasim.Placement) Job {
-	return Job{Numa: &NumaJob{Model: numasimModel, Platform: p, Workload: w, Placement: place}}
+	return Job{Numa: &NumaJob{Model: numasim.ModelAnalytic, Platform: p, Workload: w, Placement: place}}
 }
 
 // fig5Spec reproduces the characterization sweep: normalized application
@@ -767,8 +754,8 @@ func fig18Spec() spec {
 // numasimParitySpec tabulates the analytic closed form against the
 // event-driven component model on the Fig 5 default column (dim 64) for
 // every placement and threading, and reports the worst-case delta over the
-// full seed sweep — the table form of the parity gate that let the analytic
-// fast path retire behind pifsbench -model. The full sweep (2 threadings x
+// full seed sweep — the table form of the parity gate that lets Fig 5/6
+// run on the analytic fast path. The full sweep (2 threadings x
 // 4 dims x 7 sizes x 5 placements x 2 models) runs as jobs, so the whole
 // parity matrix memoizes.
 func numasimParitySpec() spec {

@@ -173,27 +173,6 @@ func CacheStats() memo.Stats {
 	return memoStore.Stats()
 }
 
-// jobShards and jobPlacementMode are sweep-wide scheduling overrides
-// (SetJobScheduling): every engine job whose config leaves the knob at its
-// zero value inherits them. Pure scheduling — results are byte-identical
-// regardless — so neither enters a job's content identity, and warm cache
-// entries stay valid across override changes.
-var (
-	jobShards        int
-	jobPlacementMode string
-)
-
-// SetJobScheduling installs sweep-wide scheduling overrides: shards forces
-// every engine job's shard count (0 restores the runner's core split; the
-// engine clamps per config to its component-group count), and placementMode
-// selects the dynamic placement flavor ("" restores the engine default).
-// It returns the previous pair. CLI front-ends call it once at startup.
-func SetJobScheduling(shards int, placementMode string) (int, string) {
-	prevS, prevP := jobShards, jobPlacementMode
-	jobShards, jobPlacementMode = shards, placementMode
-	return prevS, prevP
-}
-
 // execJob runs one job for real. sweep is the sweep's total job count, used
 // for the runner's core split between sweep fan-out and intra-sim shards —
 // pure scheduling, never part of the job's identity.
@@ -201,15 +180,8 @@ func execJob(r *Runner, sweep int, j Job) JobResult {
 	switch {
 	case j.Engine != nil:
 		cfg := *j.Engine
-		if cfg.PlacementMode == "" {
-			cfg.PlacementMode = jobPlacementMode
-		}
 		if cfg.Shards == 0 {
-			if jobShards > 0 {
-				cfg.Shards = jobShards
-			} else {
-				cfg.Shards = r.ShardsPerConfig(sweep, cfg.ComponentGroups())
-			}
+			cfg.Shards = r.ShardsPerConfig(sweep, cfg.ComponentGroups())
 		}
 		return JobResult{Engine: run(cfg)}
 	case j.Numa != nil:

@@ -192,18 +192,18 @@ func TestReportTablesShardInvariant(t *testing.T) {
 }
 
 // TestRunConfigsIsolatedContainsPanic submits a sweep with one
-// deliberately-panicking configuration (a trace bag with no indices panics
-// inside bag dispatch) and one erroring configuration (unknown scheme): each
-// must land in its own error slot while every healthy configuration still
-// produces its normal result.
+// deliberately-panicking configuration (a placement policy that panics when
+// the engine places its groups) and one erroring configuration (unknown
+// scheme): each must land in its own error slot while every healthy
+// configuration still produces its normal result.
 func TestRunConfigsIsolatedContainsPanic(t *testing.T) {
 	m := scaledRMC4()
 	good := traceFor(trace.MetaLike, m, 1)
-	poison := &trace.Trace{Name: "poison", Tables: m.Tables, RowsPerTable: m.EmbRows,
-		Bags: []trace.Bag{{Table: 0}}} // no indices → runBag panics
+	poison := schemeConfig(engine.PIFSRec, m, good)
+	poison.Placement = func([]float64, int) []int32 { panic("poisoned placement policy") }
 	cfgs := []engine.Config{
 		schemeConfig(engine.PIFSRec, m, good),
-		{Scheme: engine.PIFSRec, Model: m, Trace: poison, Seed: 3},
+		poison,
 		schemeConfig(engine.Pond, m, good),
 		{Scheme: "no-such-scheme", Model: m, Trace: good, Seed: 3},
 	}

@@ -1,10 +1,12 @@
 // Package serve is the HTTP face of the long-lived sweep service behind
-// pifssim -serve: a stateless handler that answers experiment and raw-config
-// sweep requests through the harness's memoized runner. Because every job is
-// content-addressed, a warm server answers repeated sweeps from the result
-// cache and re-simulates only configs it has never seen — the interactive
-// "edit one config, re-run the sweep" loop costs one simulation, not a full
-// re-run.
+// pifssim -serve: a stateless handler that answers experiment sweeps through
+// the harness's memoized runner and raw-config sweeps by running every
+// posted config. Because every experiment job is content-addressed, a warm
+// server answers repeated experiment sweeps from the result cache and
+// re-simulates only configs it has never seen — the interactive "edit one
+// config, re-run the sweep" loop costs one simulation, not a full re-run.
+// Raw-config sweeps neither read nor fill the cache: each config runs on its
+// own, so one that panics fails only its own slot.
 //
 // Endpoints (all JSON unless noted):
 //
@@ -19,12 +21,12 @@
 //	POST /v1/jobs/fail          worker push: return a lease unrun
 //	GET  /v1/jobs/status        job board + per-worker counters
 //
-// Run responses carry X-Memo-Hits / X-Memo-Misses headers — the cache's hit
-// and miss deltas while the request ran — and, with a coordinator attached,
-// X-Jobs-Remote / X-Jobs-Local / X-Jobs-Shared: how many of the sweep's
-// cache misses were completed by workers, by local fallback, or shared with
-// a concurrent identical request (all approximate under concurrent requests
-// — the counters are global).
+// /v1/run responses carry X-Memo-Hits / X-Memo-Misses headers — the cache's
+// hit and miss deltas while the request ran — and, with a coordinator
+// attached, X-Jobs-Remote / X-Jobs-Local / X-Jobs-Shared: how many of the
+// sweep's cache misses were completed by workers, by local fallback, or
+// shared with a concurrent identical request (all approximate under
+// concurrent requests — the counters are global).
 //
 // The HTTP layer compresses responses for clients that accept gzip and
 // accepts gzip-compressed request bodies, so multi-MB simulate sweeps and
@@ -168,7 +170,7 @@ func Handler(o Options) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/experiments", handleExperiments)
 	mux.HandleFunc("/v1/run", withDistHeaders(c, handleRun))
-	mux.HandleFunc("/v1/simulate", withDistHeaders(c, handleSimulate))
+	mux.HandleFunc("/v1/simulate", handleSimulate)
 	mux.HandleFunc("/v1/stats", handleStats)
 	mux.HandleFunc("/v1/jobs/lease", jobEndpoint(c, (*Coordinator).handleLease))
 	mux.HandleFunc("/v1/jobs/result", jobEndpoint(c, (*Coordinator).handleResult))
@@ -412,9 +414,7 @@ func handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}
 		cfgs[i] = cfg
 	}
-	before := harness.CacheStats()
 	results, errs := harness.DefaultRunner().RunConfigsIsolated(cfgs)
-	after := harness.CacheStats()
 	type slot struct {
 		Result *engine.Result `json:"result,omitempty"`
 		Error  string         `json:"error,omitempty"`
@@ -428,8 +428,6 @@ func handleSimulate(w http.ResponseWriter, r *http.Request) {
 			out[i] = slot{Result: &res}
 		}
 	}
-	w.Header().Set("X-Memo-Hits", fmt.Sprint(after.Hits-before.Hits))
-	w.Header().Set("X-Memo-Misses", fmt.Sprint(after.Misses-before.Misses))
 	writeJSON(w, http.StatusOK, map[string]any{"results": out})
 }
 

@@ -116,8 +116,9 @@ func TestRunEndpointUnknownID(t *testing.T) {
 	}
 }
 
-// TestSimulateEndpoint posts a raw config sweep twice: the repeat must be
-// all-hit with an identical response body.
+// TestSimulateEndpoint posts a raw config sweep twice: results come back in
+// input order, and the repeat (simulated again, since raw sweeps bypass the
+// result cache) serves an identical response body.
 func TestSimulateEndpoint(t *testing.T) {
 	srv := testServer(t)
 	req := `{"configs":[{"scheme":"Pond"},{"scheme":"PIFS-Rec","devices":8,"seed":5}]}`
@@ -163,12 +164,9 @@ func TestSimulateEndpoint(t *testing.T) {
 		t.Errorf("result order not preserved: %q first", out.Results[0].Result.Scheme)
 	}
 
-	resp2, body2 := post()
+	_, body2 := post()
 	if !bytes.Equal(body1, body2) {
 		t.Error("repeated sweep served different bytes")
-	}
-	if resp2.Header.Get("X-Memo-Misses") != "0" {
-		t.Errorf("repeated sweep missed: X-Memo-Misses=%s", resp2.Header.Get("X-Memo-Misses"))
 	}
 }
 

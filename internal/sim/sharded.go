@@ -237,9 +237,6 @@ func (se *ShardedEngine) Workers() int { return se.workers }
 // it for all their local scheduling.
 func (se *ShardedEngine) Group(g int) *Engine { return se.groups[g].eng }
 
-// Window returns the conservative lookahead in ticks.
-func (se *ShardedEngine) Window() Tick { return se.window }
-
 // GroupWeight returns a group's static weight seed (its components' summed
 // CostWeight declarations plus any NewGroup seed).
 func (se *ShardedEngine) GroupWeight(g int) float64 { return se.groups[g].weight }

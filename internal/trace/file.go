@@ -66,108 +66,41 @@ func (t *Trace) Write(w io.Writer) error {
 	return nil
 }
 
-// Read deserializes a trace written by Write.
+// Read deserializes a trace written by Write. It drains a StreamReader and
+// copies each bag out of the stream's reused buffers, so the whole-trace and
+// streaming paths share one decoder and reject exactly the same inputs.
 func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if magic != fileMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic[:])
-	}
-	readU16 := func() (uint16, error) {
-		var b [2]byte
-		_, err := io.ReadFull(br, b[:])
-		return binary.LittleEndian.Uint16(b[:]), err
-	}
-	readU32 := func() (uint32, error) {
-		var b [4]byte
-		_, err := io.ReadFull(br, b[:])
-		return binary.LittleEndian.Uint32(b[:]), err
-	}
-	readU64 := func() (uint64, error) {
-		var b [8]byte
-		_, err := io.ReadFull(br, b[:])
-		return binary.LittleEndian.Uint64(b[:]), err
-	}
-
-	nameLen, err := readU16()
+	sr, err := NewStream(r)
 	if err != nil {
-		return nil, fmt.Errorf("trace: reading name length: %w", err)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("trace: reading name: %w", err)
-	}
-	tables, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading tables: %w", err)
-	}
-	rows, err := readU64()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading rows: %w", err)
-	}
-	nbags, err := readU64()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading bag count: %w", err)
-	}
-	const maxBags = 1 << 28 // sanity bound against corrupt headers
-	if nbags > maxBags {
-		return nil, fmt.Errorf("trace: implausible bag count %d", nbags)
-	}
-
-	// Preallocate from the header's bag count, but cap the hint: a corrupt
-	// header passing the maxBags sanity bound could otherwise reserve
-	// gigabytes before the first bag fails to decode.
-	capHint := nbags
-	if capHint > 4096 {
-		capHint = 4096
-	}
-	t := &Trace{
-		Name:         string(name),
-		Tables:       int(tables),
-		RowsPerTable: int64(rows),
-		Bags:         make([]Bag, 0, capHint),
-	}
-	for i := uint64(0); i < nbags; i++ {
-		table, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("trace: bag %d table: %w", i, err)
-		}
-		flags, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: bag %d flags: %w", i, err)
-		}
-		n, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("trace: bag %d size: %w", i, err)
-		}
-		if n > 1<<20 {
-			return nil, fmt.Errorf("trace: bag %d implausible size %d", i, n)
-		}
-		b := Bag{Table: int32(table), Indices: make([]uint32, n)}
-		for k := range b.Indices {
-			if b.Indices[k], err = readU32(); err != nil {
-				return nil, fmt.Errorf("trace: bag %d index %d: %w", i, k, err)
-			}
-		}
-		if flags&1 != 0 {
-			b.Weights = make([]float32, n)
-			for k := range b.Weights {
-				bits, err := readU32()
-				if err != nil {
-					return nil, fmt.Errorf("trace: bag %d weight %d: %w", i, k, err)
-				}
-				b.Weights[k] = math.Float32frombits(bits)
-			}
-		}
-		t.Bags = append(t.Bags, b)
-	}
-	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	return t, nil
+	// Preallocate from the header's bag count, but cap the hint: a corrupt
+	// header passing the stream's sanity bound could otherwise reserve
+	// gigabytes before the first bag fails to decode.
+	t := &Trace{
+		Name:         sr.Name(),
+		Tables:       sr.Tables(),
+		RowsPerTable: sr.RowsPerTable(),
+		Bags:         make([]Bag, 0, min(sr.NumBags(), 4096)),
+	}
+	for {
+		b, err := sr.Next()
+		if err == io.EOF {
+			return t, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		// Indices are always allocated and Weights iff the bag is weighted,
+		// so a zero-size weighted bag keeps its non-nil Weights.
+		cp := Bag{Table: b.Table, Indices: make([]uint32, len(b.Indices))}
+		copy(cp.Indices, b.Indices)
+		if b.Weights != nil {
+			cp.Weights = make([]float32, len(b.Weights))
+			copy(cp.Weights, b.Weights)
+		}
+		t.Bags = append(t.Bags, cp)
+	}
 }
 
 // Save writes the trace to a file path.

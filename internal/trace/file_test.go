@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -202,6 +203,25 @@ func TestWriteGolden(t *testing.T) {
 	if h != sum {
 		t.Errorf("Hash %x is not the SHA-256 of Write's bytes %x", h, sum)
 	}
+
+	// Read gives the trace back. A weighted bag keeps a non-nil Weights
+	// even with no indices, since that is what marks it weighted.
+	back, err := Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Name != tr.Name || back.Tables != tr.Tables || back.RowsPerTable != tr.RowsPerTable ||
+		len(back.Bags) != len(tr.Bags) {
+		t.Fatalf("read back %q %d×%d with %d bags", back.Name, back.Tables, back.RowsPerTable, len(back.Bags))
+	}
+	for i, b := range back.Bags {
+		want := tr.Bags[i]
+		if b.Table != want.Table || !slices.Equal(b.Indices, want.Indices) ||
+			!slices.Equal(b.Weights, want.Weights) || (b.Weights == nil) != (want.Weights == nil) {
+			t.Errorf("bag %d read back as %+v (weighted %t), want %+v (weighted %t)",
+				i, b, b.Weights != nil, want, want.Weights != nil)
+		}
+	}
 }
 
 // refWrite is the per-field encoder Write replaced: every field, index and
@@ -355,4 +375,31 @@ func firstDiff(a, b []byte) int {
 		}
 	}
 	return min(len(a), len(b))
+}
+
+// TestReadAllocsPerBag bounds the whole-trace decoder's allocations to a few
+// per bag: a reader that allocated per field would cost one allocation per
+// index, over 100K on this 4096-bag trace.
+func TestReadAllocsPerBag(t *testing.T) {
+	tr, err := Generate(Spec{
+		Kind: MetaLike, Tables: 8, RowsPerTable: 1 << 20,
+		Batches: 4, BatchSize: 128, BagSize: 32, Seed: 15,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Bags[1].Weights = make([]float32, len(tr.Bags[1].Indices))
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Read(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(4*len(tr.Bags) + 64); allocs > limit {
+		t.Errorf("Read of %d bags: %.0f allocations, want at most %.0f", len(tr.Bags), allocs, limit)
+	}
 }

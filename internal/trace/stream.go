@@ -13,12 +13,9 @@ import (
 // call, with all scratch buffers reused across calls, so a multi-GB
 // production trace replays under a fixed allocation budget (the header plus
 // at most one maximum-size bag, ~4 MB) instead of Read's whole-trace
-// materialization. The format, sanity bounds, and per-bag validation are
-// exactly Read's — a stream either yields the same bag sequence Read would
-// return or fails on any input Read rejects (FuzzReadFile gates the
-// agreement) — the difference is only when errors surface: Read validates
-// after decoding everything, the stream rejects the offending bag as it is
-// decoded.
+// materialization. It is the only PIFSTRC1 decoder: Read drains one. Each
+// bag is validated as it is decoded (the checks Trace.Validate applies), so
+// a stream fails at the first offending bag.
 type StreamReader struct {
 	br     *bufio.Reader
 	name   string
@@ -63,7 +60,7 @@ func NewStream(r io.Reader) (*StreamReader, error) {
 		return nil, fmt.Errorf("trace: reading bag count: %w", err)
 	}
 	nbags := binary.LittleEndian.Uint64(b8[:])
-	const maxBags = 1 << 28 // same sanity bound as Read
+	const maxBags = 1 << 28 // sanity bound against corrupt headers
 	if nbags > maxBags {
 		return nil, fmt.Errorf("trace: implausible bag count %d", nbags)
 	}
@@ -114,8 +111,7 @@ func (s *StreamReader) Next() (Bag, error) {
 	if n > 1<<20 {
 		return Bag{}, s.fail(fmt.Errorf("trace: bag %d implausible size %d", i, n))
 	}
-	// Read's deferred Validate applies the same two checks to every bag; the
-	// stream applies them here so it rejects exactly the traces Read rejects.
+	// Trace.Validate's table and row checks, applied as the bag decodes.
 	if int32(table) < 0 || int(int32(table)) >= s.tables {
 		return Bag{}, s.fail(fmt.Errorf("trace: bag %d references table %d of %d", i, int32(table), s.tables))
 	}
@@ -142,8 +138,8 @@ func (s *StreamReader) Next() (Bag, error) {
 		}
 		if cap(s.wts) < int(n) || s.wts == nil {
 			// Grow, and materialize even for a zero-size weighted bag: a
-			// non-nil Weights slice is what marks a bag weighted, exactly as
-			// Read materializes it (make of length 0 is non-nil).
+			// non-nil Weights slice is what marks a bag weighted (make of
+			// length 0 is non-nil).
 			s.wts = make([]float32, n)
 		}
 		bag.Weights = s.wts[:n:n]
@@ -160,10 +156,14 @@ func (s *StreamReader) fail(err error) error {
 	return err
 }
 
+// readU32 decodes one field through the scratch buffer; a local array
+// would escape through io.ReadFull and allocate on every call.
 func (s *StreamReader) readU32() (uint32, error) {
-	var b [4]byte
-	_, err := io.ReadFull(s.br, b[:])
-	return binary.LittleEndian.Uint32(b[:]), err
+	b, err := s.fill(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(b), nil
 }
 
 // fill reads exactly n bytes into the reused scratch buffer.

@@ -11,9 +11,8 @@ import (
 
 // streamAll drains a stream into a materialized bag list (copying, since
 // Next's returned slices alias reused buffers) or returns the first error.
-// Slices materialize exactly as Read's do — always-allocated indices, weights
-// allocated iff the weighted flag was set — so DeepEqual against Read's bags
-// is exact even for zero-size bags.
+// Indices are always allocated and weights iff the weighted flag was set, so
+// DeepEqual against a fixture's bags is exact.
 func streamAll(sr *StreamReader) ([]Bag, error) {
 	var out []Bag
 	for {
@@ -34,8 +33,8 @@ func streamAll(sr *StreamReader) ([]Bag, error) {
 	}
 }
 
-// TestStreamAgreesWithRead: the streaming decoder must yield exactly the bag
-// sequence (and header) the whole-trace Read returns.
+// TestStreamAgreesWithRead: the streaming decoder must yield exactly the
+// fixture's header and bag sequence, then io.EOF.
 func TestStreamAgreesWithRead(t *testing.T) {
 	full, want := encodedFixture(t)
 	sr, err := NewStream(bytes.NewReader(full))
@@ -51,7 +50,7 @@ func TestStreamAgreesWithRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(bags, want.Bags) {
-		t.Fatalf("bag sequence diverged:\n stream: %+v\n read:   %+v", bags, want.Bags)
+		t.Fatalf("bag sequence diverged:\n stream: %+v\n want:   %+v", bags, want.Bags)
 	}
 	if _, err := sr.Next(); err != io.EOF {
 		t.Fatalf("post-EOF Next returned %v", err)

@@ -381,8 +381,9 @@ func TestWriteBenchSnapshot(t *testing.T) {
 		}
 	}
 
-	// Numasim model parity (the gate behind pifsbench -model) — the same
-	// figure the numasim-parity experiment note prints.
+	// Numasim model parity (the analytic model Fig 5/6 use against the
+	// event-driven one) — the same figure the numasim-parity experiment
+	// note prints.
 	worst, err := numasim.WorstSeedParityPct(numasim.Genoa())
 	if err != nil {
 		t.Fatal(err)
