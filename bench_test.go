@@ -63,7 +63,7 @@ func BenchmarkFig16(b *testing.B) { benchExperiment(b, "fig16") }
 func BenchmarkFig17(b *testing.B) { benchExperiment(b, "fig17") }
 func BenchmarkFig18(b *testing.B) { benchExperiment(b, "fig18") }
 
-// DESIGN.md extra ablations.
+// Ablations beyond the paper's figures.
 func BenchmarkAblationInterleave(b *testing.B) { benchExperiment(b, "ablation-interleave") }
 func BenchmarkAblationMigration(b *testing.B)  { benchExperiment(b, "ablation-migration") }
 
@@ -432,18 +432,6 @@ func BenchmarkProcessCore(b *testing.B) {
 	eng.Run()
 }
 
-func BenchmarkSLSMath(b *testing.B) {
-	tbl := dlrm.NewEmbeddingTable(4096, 64, sim.NewRNG(3))
-	indices := []uint32{1, 100, 200, 300, 400, 500, 600, 700}
-	out := make([]float32, 64)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(indices) * 64 * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl.SLS(indices, nil, out)
-	}
-}
-
 func BenchmarkTraceGeneration(b *testing.B) {
 	for _, kind := range trace.Kinds() {
 		b.Run(string(kind), func(b *testing.B) {
@@ -481,25 +469,6 @@ func BenchmarkTraceHash(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tr.Hash(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkInference(b *testing.B) {
-	cfg := dlrm.RMC1().Scaled(64)
-	cfg.Tables = 8
-	m, err := dlrm.NewModel(cfg, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := dlrm.Query{Dense: make([]float32, cfg.DenseFeatures)}
-	for t := 0; t < cfg.Tables; t++ {
-		q.Bags = append(q.Bags, []uint32{1, 2, 3, 4})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Infer(q); err != nil {
 			b.Fatal(err)
 		}
 	}

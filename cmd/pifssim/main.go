@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"pifsrec"
+	"pifsrec/internal/dlrm"
 	"pifsrec/internal/harness"
 	"pifsrec/internal/memo"
 	"pifsrec/internal/serve"
@@ -177,22 +178,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	var m pifsrec.ModelConfig
-	found := false
-	for _, cand := range pifsrec.Models() {
-		if cand.Name == *model {
-			m = cand.Scaled(*scale)
-			found = true
-		}
-	}
-	if !found {
-		names := make([]string, 0, 4)
-		for _, cand := range pifsrec.Models() {
-			names = append(names, cand.Name)
-		}
-		fmt.Fprintf(os.Stderr, "pifssim: unknown -model %q (have %v)\n", *model, names)
+	m, err := dlrm.ModelByName(*model)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pifssim: -model: %v\n", err)
 		os.Exit(2)
 	}
+	m = m.Scaled(*scale)
 
 	// The fault plan is validated against the topology the flags assemble
 	// before anything runs, so a plan naming an unknown link or an
@@ -230,7 +221,6 @@ func main() {
 	}
 
 	var tr *pifsrec.Trace
-	var err error
 	if *traceFile != "" {
 		tr, err = pifsrec.LoadTrace(*traceFile)
 	} else {

@@ -240,46 +240,3 @@ func TestType3OutOfRangePanics(t *testing.T) {
 	}()
 	dev.HandleMsg(sim.Envelope{P: sim.Payload{Kind: KindDevRead, A: uint64(dev.Capacity())}})
 }
-
-func TestBiasTableDefaultsHostBias(t *testing.T) {
-	b := NewBiasTable(64 * 1024)
-	if b.Pages() != 16 {
-		t.Fatalf("Pages = %d, want 16", b.Pages())
-	}
-	if b.Mode(0) != HostBias {
-		t.Fatal("fresh table not host-biased")
-	}
-}
-
-func TestBiasTableSetRange(t *testing.T) {
-	b := NewBiasTable(16 * BiasPageBytes)
-	changed := b.SetRange(BiasPageBytes, 3*BiasPageBytes, DeviceBias)
-	if changed != 3 {
-		t.Fatalf("changed = %d, want 3", changed)
-	}
-	if b.Mode(0) != HostBias || b.Mode(BiasPageBytes) != DeviceBias ||
-		b.Mode(3*BiasPageBytes) != DeviceBias || b.Mode(4*BiasPageBytes) != HostBias {
-		t.Fatal("range flip applied to wrong pages")
-	}
-	// Idempotent: re-flipping costs nothing.
-	if again := b.SetRange(BiasPageBytes, 3*BiasPageBytes, DeviceBias); again != 0 {
-		t.Fatalf("idempotent flip changed %d pages", again)
-	}
-	if b.Flips() != 3 {
-		t.Fatalf("Flips = %d, want 3", b.Flips())
-	}
-}
-
-func TestBiasTablePartialPageRange(t *testing.T) {
-	b := NewBiasTable(16 * BiasPageBytes)
-	// A 1-byte range spanning a page boundary must flip both pages.
-	if changed := b.SetRange(BiasPageBytes-1, 2, DeviceBias); changed != 2 {
-		t.Fatalf("boundary range flipped %d pages, want 2", changed)
-	}
-}
-
-func TestBiasTableStringNames(t *testing.T) {
-	if HostBias.String() != "host-bias" || DeviceBias.String() != "device-bias" {
-		t.Fatal("bias mode names wrong")
-	}
-}

@@ -1,7 +1,8 @@
 // Package cxl models the Compute Express Link plumbing the paper builds on:
-// FlexBus links over the PCIe 5.0 physical layer, Type 3 memory expander
-// devices backed by the dram package, and the bias table that arbitrates
-// host- versus device-bias coherence for pooled regions (§II-B).
+// FlexBus links over the PCIe 5.0 physical layer and Type 3 memory expander
+// devices backed by the dram package (§II-B). There is no bias table: the
+// model treats the embedding region as device-bias for the whole run
+// (§IV-A1) and charges no bias-flip coherence traffic.
 package cxl
 
 import (

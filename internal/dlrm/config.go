@@ -1,8 +1,9 @@
-// Package dlrm implements the Deep Learning Recommendation Model workload:
-// the four-stage inference pipeline of Fig 1 (bottom MLP, embedding lookup,
-// feature interaction, top MLP), the SparseLengthSum operator the paper
-// accelerates, the RMC1–RMC4 model configurations of Table I, and the
-// address layout that places embedding tables in simulated memory.
+// Package dlrm describes the Deep Learning Recommendation Model workload
+// the simulator times: the RMC1–RMC4 model configurations of Table I, the
+// non-SLS FLOP estimate that weights Fig 14's end-to-end speedup, and the
+// address layout that places embedding tables in simulated memory. It does
+// not run the Fig 1 inference pipeline: the simulator times where each
+// SparseLengthSum bag's row reads go, never the values they sum.
 package dlrm
 
 import "fmt"

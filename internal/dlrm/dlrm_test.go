@@ -1,12 +1,6 @@
 package dlrm
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-
-	"pifsrec/internal/sim"
-)
+import "testing"
 
 func TestTable1Configs(t *testing.T) {
 	models := Models()
@@ -81,179 +75,6 @@ func TestConfigValidation(t *testing.T) {
 		if c.Validate() == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
-	}
-}
-
-func TestSLSUnweighted(t *testing.T) {
-	rng := sim.NewRNG(1)
-	tbl := NewEmbeddingTable(16, 4, rng)
-	out := make([]float32, 4)
-	tbl.SLS([]uint32{2, 5, 7}, nil, out)
-	for i := 0; i < 4; i++ {
-		want := tbl.Row(2)[i] + tbl.Row(5)[i] + tbl.Row(7)[i]
-		if math.Abs(float64(out[i]-want)) > 1e-6 {
-			t.Fatalf("out[%d] = %v, want %v", i, out[i], want)
-		}
-	}
-}
-
-func TestSLSWeighted(t *testing.T) {
-	rng := sim.NewRNG(2)
-	tbl := NewEmbeddingTable(8, 4, rng)
-	out := make([]float32, 4)
-	tbl.SLS([]uint32{1, 3}, []float32{2, -1}, out)
-	for i := 0; i < 4; i++ {
-		want := 2*tbl.Row(1)[i] - tbl.Row(3)[i]
-		if math.Abs(float64(out[i]-want)) > 1e-5 {
-			t.Fatalf("out[%d] = %v, want %v", i, out[i], want)
-		}
-	}
-}
-
-func TestSLSEmptyBagIsZero(t *testing.T) {
-	tbl := NewEmbeddingTable(8, 4, sim.NewRNG(3))
-	out := []float32{9, 9, 9, 9}
-	tbl.SLS(nil, nil, out)
-	for _, v := range out {
-		if v != 0 {
-			t.Fatal("empty bag did not zero the output")
-		}
-	}
-}
-
-func TestSLSLinearityProperty(t *testing.T) {
-	// SLS(a ∪ b) == SLS(a) + SLS(b): the invariant that lets the fabric
-	// switch accumulate partial sums across devices and merge them.
-	tbl := NewEmbeddingTable(64, 8, sim.NewRNG(4))
-	f := func(aRaw, bRaw []uint8) bool {
-		a := make([]uint32, len(aRaw))
-		for i, v := range aRaw {
-			a[i] = uint32(v % 64)
-		}
-		b := make([]uint32, len(bRaw))
-		for i, v := range bRaw {
-			b[i] = uint32(v % 64)
-		}
-		both := append(append([]uint32{}, a...), b...)
-		sa, sb, sc := make([]float32, 8), make([]float32, 8), make([]float32, 8)
-		tbl.SLS(a, nil, sa)
-		tbl.SLS(b, nil, sb)
-		tbl.SLS(both, nil, sc)
-		for i := 0; i < 8; i++ {
-			if math.Abs(float64(sc[i]-(sa[i]+sb[i]))) > 1e-4 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMLPShapes(t *testing.T) {
-	m := NewMLP(8, []int{16, 4}, sim.NewRNG(5))
-	out := m.Forward(make([]float32, 8))
-	if len(out) != 4 {
-		t.Fatalf("output dim = %d, want 4", len(out))
-	}
-	if m.InputDim() != 8 || m.OutputDim() != 4 {
-		t.Fatal("dim accessors wrong")
-	}
-}
-
-func TestMLPReLUHidden(t *testing.T) {
-	// With zero input, hidden activations are bias (0) -> ReLU(0) = 0, so
-	// the logit equals the final bias (0). Perturbing the input must change
-	// the output for a generic random network.
-	m := NewMLP(4, []int{8, 1}, sim.NewRNG(6))
-	zero := m.Forward([]float32{0, 0, 0, 0})
-	if zero[0] != 0 {
-		t.Fatalf("zero input logit = %v, want 0 with zero biases", zero[0])
-	}
-	nonzero := m.Forward([]float32{1, -1, 2, 0.5})
-	if nonzero[0] == 0 {
-		t.Error("network insensitive to input (suspicious)")
-	}
-}
-
-func TestMLPDeterministic(t *testing.T) {
-	a := NewMLP(4, []int{8, 2}, sim.NewRNG(7))
-	b := NewMLP(4, []int{8, 2}, sim.NewRNG(7))
-	in := []float32{0.1, 0.2, 0.3, 0.4}
-	oa, ob := a.Forward(in), b.Forward(in)
-	for i := range oa {
-		if oa[i] != ob[i] {
-			t.Fatal("same seed, different networks")
-		}
-	}
-}
-
-func TestMLPInputMismatchPanics(t *testing.T) {
-	m := NewMLP(4, []int{2}, sim.NewRNG(8))
-	defer func() {
-		if recover() == nil {
-			t.Error("wrong input size accepted")
-		}
-	}()
-	m.Forward(make([]float32, 5))
-}
-
-func testModel(t *testing.T) *Model {
-	t.Helper()
-	cfg := RMC1().Scaled(64) // 256 rows per table
-	cfg.Tables = 4
-	m, err := NewModel(cfg, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-func TestInferProducesProbability(t *testing.T) {
-	m := testModel(t)
-	q := Query{Dense: make([]float32, m.Config.DenseFeatures)}
-	for i := range q.Dense {
-		q.Dense[i] = float32(i) * 0.01
-	}
-	for tb := 0; tb < m.Config.Tables; tb++ {
-		q.Bags = append(q.Bags, []uint32{1, 2, 3})
-	}
-	p, err := m.Infer(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p <= 0 || p >= 1 || math.IsNaN(float64(p)) {
-		t.Fatalf("CTR = %v, want in (0,1)", p)
-	}
-}
-
-func TestInferValidatesShape(t *testing.T) {
-	m := testModel(t)
-	if _, err := m.Infer(Query{Dense: make([]float32, 3)}); err == nil {
-		t.Error("wrong dense width accepted")
-	}
-	q := Query{Dense: make([]float32, m.Config.DenseFeatures), Bags: [][]uint32{{1}}}
-	if _, err := m.Infer(q); err == nil {
-		t.Error("wrong bag count accepted")
-	}
-}
-
-func TestInferSensitiveToEmbeddings(t *testing.T) {
-	m := testModel(t)
-	q := Query{Dense: make([]float32, m.Config.DenseFeatures)}
-	for tb := 0; tb < m.Config.Tables; tb++ {
-		q.Bags = append(q.Bags, []uint32{0})
-	}
-	p1, _ := m.Infer(q)
-	q2 := q
-	q2.Bags = make([][]uint32, m.Config.Tables)
-	for tb := range q2.Bags {
-		q2.Bags[tb] = []uint32{99}
-	}
-	p2, _ := m.Infer(q2)
-	if p1 == p2 {
-		t.Error("CTR insensitive to embedding indices")
 	}
 }
 

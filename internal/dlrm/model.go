@@ -1,239 +1,6 @@
 package dlrm
 
-import (
-	"fmt"
-	"math"
-
-	"pifsrec/internal/sim"
-	"pifsrec/internal/vecmath"
-)
-
-// EmbeddingTable holds fp32 row vectors. Rows are stored contiguously so a
-// row's byte offset is row*Dim*4, mirroring the layout the simulator maps
-// into memory.
-type EmbeddingTable struct {
-	Rows int64
-	Dim  int
-	data []float32
-}
-
-// NewEmbeddingTable allocates and deterministically initializes a table
-// with small values drawn from rng.
-func NewEmbeddingTable(rows int64, dim int, rng *sim.RNG) *EmbeddingTable {
-	t := &EmbeddingTable{Rows: rows, Dim: dim, data: make([]float32, rows*int64(dim))}
-	for i := range t.data {
-		t.data[i] = float32(rng.NormFloat64()) * 0.1
-	}
-	return t
-}
-
-// Row returns a read-only view of one row vector.
-func (t *EmbeddingTable) Row(ix uint32) []float32 {
-	if int64(ix) >= t.Rows {
-		panic(fmt.Sprintf("dlrm: row %d beyond table of %d", ix, t.Rows))
-	}
-	off := int64(ix) * int64(t.Dim)
-	return t.data[off : off+int64(t.Dim)]
-}
-
-// SLS computes the SparseLengthSum of the given rows into out: the pooled
-// (optionally weighted) sum that the Process Core executes in hardware.
-// out must have length Dim; it is zeroed first.
-func (t *EmbeddingTable) SLS(indices []uint32, weights []float32, out []float32) {
-	if len(out) != t.Dim {
-		panic(fmt.Sprintf("dlrm: SLS output length %d != dim %d", len(out), t.Dim))
-	}
-	if weights != nil && len(weights) != len(indices) {
-		panic(fmt.Sprintf("dlrm: %d weights for %d indices", len(weights), len(indices)))
-	}
-	vecmath.Zero(out)
-	if weights == nil {
-		for _, ix := range indices {
-			vecmath.Add(t.Row(ix), out)
-		}
-		return
-	}
-	for k, ix := range indices {
-		vecmath.Axpy(weights[k], t.Row(ix), out)
-	}
-}
-
-// MLP is a dense stack of fully connected layers with ReLU between layers
-// (no activation after the last, which emits the logit).
-type MLP struct {
-	sizes   []int // sizes[0] = input dim, sizes[1:] = layer widths
-	weights [][]float32
-	biases  [][]float32
-	// scratch holds ping-ponged layer activations so Forward allocates
-	// nothing in steady state; grown on first use.
-	scratch [2][]float32
-}
-
-// NewMLP builds an MLP mapping inputDim to the given layer widths, with
-// deterministic Xavier-style initialization from rng.
-func NewMLP(inputDim int, widths []int, rng *sim.RNG) *MLP {
-	if inputDim <= 0 || len(widths) == 0 {
-		panic("dlrm: MLP needs a positive input dim and at least one layer")
-	}
-	m := &MLP{sizes: append([]int{inputDim}, widths...)}
-	for l := 0; l < len(widths); l++ {
-		in, out := m.sizes[l], m.sizes[l+1]
-		scale := float32(math.Sqrt(2.0 / float64(in)))
-		w := make([]float32, in*out)
-		for i := range w {
-			w[i] = float32(rng.NormFloat64()) * scale
-		}
-		b := make([]float32, out)
-		m.weights = append(m.weights, w)
-		m.biases = append(m.biases, b)
-	}
-	return m
-}
-
-// InputDim returns the expected input width.
-func (m *MLP) InputDim() int { return m.sizes[0] }
-
-// OutputDim returns the final layer width.
-func (m *MLP) OutputDim() int { return m.sizes[len(m.sizes)-1] }
-
-// Forward applies the stack to x. The returned slice is scratch owned by
-// the MLP and is overwritten by the next Forward call on the same instance;
-// copy it to retain it across calls.
-func (m *MLP) Forward(x []float32) []float32 {
-	if len(x) != m.InputDim() {
-		panic(fmt.Sprintf("dlrm: MLP input %d != expected %d", len(x), m.InputDim()))
-	}
-	cur := x
-	for l := range m.weights {
-		in, out := m.sizes[l], m.sizes[l+1]
-		w, b := m.weights[l], m.biases[l]
-		if cap(m.scratch[l&1]) < out {
-			m.scratch[l&1] = make([]float32, out)
-		}
-		next := m.scratch[l&1][:out]
-		for o := 0; o < out; o++ {
-			// vecmath's fixed 4-lane reduction order; see that package's doc.
-			next[o] = vecmath.DotBias(b[o], w[o*in:(o+1)*in], cur)
-		}
-		if l != len(m.weights)-1 {
-			vecmath.ReLU(next)
-		}
-		cur = next
-	}
-	return cur
-}
-
-// Model is a complete functional DLRM: tables plus both MLP stacks. A Model
-// reuses internal scratch buffers across Infer calls and is therefore not
-// safe for concurrent use; run one Model per goroutine.
-type Model struct {
-	Config ModelConfig
-	Bottom *MLP
-	Top    *MLP
-	Tables []*EmbeddingTable
-
-	// Inference scratch, grown on first use: pooled SLS outputs (flat
-	// backing plus per-table views) and the interaction layer's buffers.
-	poolFlat []float32
-	pooled   [][]float32
-	proj     []float32
-	vecs     [][]float32
-	interOut []float32
-}
-
-// NewModel instantiates a functional model from a (typically Scaled) config.
-// Large configs allocate EmbRows*EmbDim*4 bytes per table — scale first.
-func NewModel(cfg ModelConfig, seed uint64) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	rng := sim.NewRNG(seed)
-	m := &Model{
-		Config: cfg,
-		Bottom: NewMLP(cfg.DenseFeatures, cfg.BottomMLP, rng.Fork()),
-		Top:    NewMLP(cfg.topInputDim(), cfg.TopMLP, rng.Fork()),
-	}
-	for i := 0; i < cfg.Tables; i++ {
-		m.Tables = append(m.Tables, NewEmbeddingTable(cfg.EmbRows, cfg.EmbDim, rng.Fork()))
-	}
-	return m, nil
-}
-
-// Interact computes the feature-interaction layer (Fig 1): the bottom MLP
-// output is concatenated with the pairwise dot products among the pooled
-// embedding vectors and the bottom output's embedding-space projection. The
-// returned slice is scratch owned by the Model and is overwritten by the
-// next Interact/Infer call.
-func (m *Model) Interact(bottomOut []float32, pooled [][]float32) []float32 {
-	d := m.Config.EmbDim
-	// Project the bottom output into embedding space by truncation/padding;
-	// production DLRMs size the bottom MLP to end at EmbDim, but Table I's
-	// stacks do not always, so the projection keeps shapes composable.
-	if cap(m.proj) < d {
-		m.proj = make([]float32, d)
-	}
-	proj := m.proj[:d]
-	vecmath.Zero(proj)
-	copy(proj, bottomOut)
-
-	vecs := append(m.vecs[:0], proj)
-	vecs = append(vecs, pooled...)
-	m.vecs = vecs
-
-	if cap(m.interOut) < m.Config.topInputDim() {
-		m.interOut = make([]float32, 0, m.Config.topInputDim())
-	}
-	out := m.interOut[:0]
-	out = append(out, bottomOut...)
-	for i := 0; i < len(vecs); i++ {
-		for j := i + 1; j < len(vecs); j++ {
-			out = append(out, vecmath.Dot(vecs[i][:d], vecs[j][:d]))
-		}
-	}
-	m.interOut = out
-	return out
-}
-
-// Query is one inference input: dense features plus one index bag per table.
-type Query struct {
-	Dense   []float32
-	Bags    [][]uint32
-	Weights [][]float32 // optional, parallel to Bags
-}
-
-// Infer runs the full pipeline for one query and returns the predicted
-// click-through probability.
-func (m *Model) Infer(q Query) (float32, error) {
-	if len(q.Dense) != m.Config.DenseFeatures {
-		return 0, fmt.Errorf("dlrm: query has %d dense features, model wants %d", len(q.Dense), m.Config.DenseFeatures)
-	}
-	if len(q.Bags) != m.Config.Tables {
-		return 0, fmt.Errorf("dlrm: query has %d bags, model has %d tables", len(q.Bags), m.Config.Tables)
-	}
-	bottom := m.Bottom.Forward(q.Dense)
-
-	if m.pooled == nil {
-		m.poolFlat = make([]float32, m.Config.Tables*m.Config.EmbDim)
-		m.pooled = make([][]float32, m.Config.Tables)
-		for t := range m.pooled {
-			m.pooled[t] = m.poolFlat[t*m.Config.EmbDim : (t+1)*m.Config.EmbDim]
-		}
-	}
-	for t := range m.Tables {
-		var w []float32
-		if q.Weights != nil {
-			w = q.Weights[t]
-		}
-		m.Tables[t].SLS(q.Bags[t], w, m.pooled[t])
-	}
-
-	z := m.Top.Forward(m.Interact(bottom, m.pooled))
-	return sigmoid(z[0]), nil
-}
-
-func sigmoid(x float32) float32 {
-	return float32(1.0 / (1.0 + math.Exp(-float64(x))))
-}
+import "fmt"
 
 // Layout places a model's embedding tables in a flat simulated address
 // space starting at Base, one table after another, rows contiguous.

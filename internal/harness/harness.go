@@ -829,9 +829,10 @@ func numasimParitySpec() spec {
 	return spec{phases: staticPhases(jobs), assemble: assemble}
 }
 
-// ablationInterleaveSpec sweeps the static interleave ratio for Pond+PM — a
-// DESIGN.md extra ablation, grounding the §III finding that 4:1 is a sweet
-// spot for small working sets while large models want most pages pooled.
+// ablationInterleaveSpec sweeps the static interleave ratio for Pond+PM — an
+// ablation beyond the paper's figures, grounding the §III finding that 4:1
+// is a sweet spot for small working sets while large models want most pages
+// pooled.
 func ablationInterleaveSpec() spec {
 	fractions := []float64{0.1, 0.2, 0.4, 0.6, 0.8}
 	jobs := func() []Job {

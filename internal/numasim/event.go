@@ -39,41 +39,6 @@ func SeedPlacements() []Placement {
 	return []Placement{AllLocal, RemoteSocket, CXLExpander, InterleaveCXL, CXLOnly}
 }
 
-// WorstSeedParityPct runs the full seed sweep — both threadings, the Fig 5
-// embedding dims and table sizes, every placement — under both models and
-// returns the worst |event-analytic|/analytic AppGBs delta in percent. It
-// is THE parity figure: the numasim-parity experiment note and the bench
-// snapshot's numasim_parity_worst_pct both report it, and the parity test
-// gates the same sweep per-config.
-func WorstSeedParityPct(p Platform) (float64, error) {
-	worst := 0.0
-	for _, th := range []Threading{BatchThreading, TableThreading} {
-		for _, dim := range []int{16, 32, 64, 128} {
-			for _, ts := range Fig5TableSizes() {
-				for _, place := range SeedPlacements() {
-					w := DefaultWorkload(th, dim, ts)
-					a, err := Run(p, w, place)
-					if err != nil {
-						return 0, err
-					}
-					e, err := RunEvent(p, w, place)
-					if err != nil {
-						return 0, err
-					}
-					if a.AppGBs <= 0 {
-						continue
-					}
-					d := 100 * math.Abs(e.AppGBs-a.AppGBs) / a.AppGBs
-					if d > worst {
-						worst = d
-					}
-				}
-			}
-		}
-	}
-	return worst, nil
-}
-
 // RunModel evaluates a workload under the chosen implementation. An empty
 // model selects the analytic fast path.
 func RunModel(m Model, p Platform, w Workload, place Placement) (Result, error) {

@@ -7,8 +7,6 @@
 // reproducible.
 package power
 
-import "fmt"
-
 // Block is one synthesized hardware block.
 type Block struct {
 	Name    string
@@ -63,44 +61,4 @@ func PowerRatioVsRecNMP() float64 {
 // same cache buffer".
 func AreaRatioVsRecNMP() float64 {
 	return RecNMPBaseX8.AreaUM2 / PIFSLogic().AreaUM2
-}
-
-// Energy accounting for full runs.
-
-// EnergyNJ returns the energy in nanojoules for a block active for busyNS
-// nanoseconds (P[mW] x t[ns] = pJ; scaled to nJ).
-func EnergyNJ(b Block, busyNS int64) float64 {
-	return b.PowerMW * float64(busyNS) / 1e6
-}
-
-// DIMMEnergyModel approximates DDR access energy for the DIMM+CPU baseline
-// comparison (§VI-D, via Cacti-3DD / Cacti-IO in the paper): per-64B-access
-// energy in nanojoules, split into array access and off-chip I/O.
-type DIMMEnergyModel struct {
-	ArrayNJPerAccess float64
-	IONJPerAccess    float64
-}
-
-// DefaultDIMMEnergy returns typical DDR4/DDR5-class per-access energies.
-func DefaultDIMMEnergy() DIMMEnergyModel {
-	return DIMMEnergyModel{ArrayNJPerAccess: 15.0, IONJPerAccess: 6.5}
-}
-
-// RunEnergyNJ estimates energy for a run: DRAM accesses on the baseline
-// path versus PIFS-Rec, whose buffer hits skip both the array and the
-// off-chip I/O. The paper reports a 15.3% average reduction versus the
-// conventional DIMM+CPU solution.
-func (m DIMMEnergyModel) RunEnergyNJ(accesses, bufferHits int64, busyNS int64, pifs bool) float64 {
-	if accesses < 0 || bufferHits < 0 || bufferHits > accesses {
-		panic(fmt.Sprintf("power: invalid access counts %d/%d", accesses, bufferHits))
-	}
-	perAccess := m.ArrayNJPerAccess + m.IONJPerAccess
-	energy := float64(accesses-bufferHits) * perAccess
-	if pifs {
-		// Buffer hits are served from on-switch SRAM; add the PIFS blocks'
-		// active energy.
-		energy += float64(bufferHits) * 0.8 // SRAM read, nJ
-		energy += EnergyNJ(PIFSTotal(), busyNS)
-	}
-	return energy
 }

@@ -33,37 +33,3 @@ func TestBreakdownSums(t *testing.T) {
 		t.Error("Fig 18 has three PIFS rows")
 	}
 }
-
-func TestEnergyNJ(t *testing.T) {
-	// 10 mW for 1 us = 10 uW*ms = 10 nJ... check: mW * ns / 1e6 = nJ.
-	got := EnergyNJ(Block{PowerMW: 10}, 1_000_000)
-	if got != 10 {
-		t.Errorf("EnergyNJ = %v, want 10", got)
-	}
-}
-
-func TestRunEnergyPIFSSavesWithHits(t *testing.T) {
-	m := DefaultDIMMEnergy()
-	const accesses = 1_000_000
-	const busy = 10_000_000 // 10 ms
-	base := m.RunEnergyNJ(accesses, 0, busy, false)
-	pifs := m.RunEnergyNJ(accesses, 400_000, busy, true)
-	if pifs >= base {
-		t.Errorf("PIFS energy %.0f nJ not below baseline %.0f nJ with 40%% hits", pifs, base)
-	}
-	// The paper reports ~15.3% average savings; accept a broad band.
-	saving := 1 - pifs/base
-	if saving < 0.05 || saving > 0.6 {
-		t.Errorf("savings %.1f%% outside plausible band", saving*100)
-	}
-}
-
-func TestRunEnergyValidation(t *testing.T) {
-	m := DefaultDIMMEnergy()
-	defer func() {
-		if recover() == nil {
-			t.Error("hits > accesses accepted")
-		}
-	}()
-	m.RunEnergyNJ(10, 20, 0, true)
-}

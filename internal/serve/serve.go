@@ -91,21 +91,11 @@ func (cs ConfigSpec) config() (engine.Config, error) {
 	if scale < 1 {
 		return engine.Config{}, fmt.Errorf("scale %d must be at least 1", scale)
 	}
-	var m dlrm.ModelConfig
-	found := false
-	for _, cand := range dlrm.Models() {
-		if cand.Name == name {
-			m = cand.Scaled(scale)
-			found = true
-		}
+	m, err := dlrm.ModelByName(name)
+	if err != nil {
+		return engine.Config{}, err
 	}
-	if !found {
-		names := make([]string, 0, 4)
-		for _, cand := range dlrm.Models() {
-			names = append(names, cand.Name)
-		}
-		return engine.Config{}, fmt.Errorf("unknown model %q (have %v)", name, names)
-	}
+	m = m.Scaled(scale)
 
 	kind := trace.Kind(cs.Trace)
 	if kind == "" {

@@ -1,107 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
-// Counter is a simple monotonically increasing statistic.
-type Counter struct {
-	Name  string
-	Value int64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.Value += n }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Value++ }
-
-// Histogram collects samples and reports summary statistics. It stores raw
-// samples (the experiments are small enough that exact percentiles are
-// affordable and simpler than streaming sketches).
-type Histogram struct {
-	Name    string
-	samples []float64
-	sorted  bool
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	h.samples = append(h.samples, v)
-	h.sorted = false
-}
-
-// Count returns the number of samples observed.
-func (h *Histogram) Count() int { return len(h.samples) }
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() float64 {
-	s := 0.0
-	for _, v := range h.samples {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean, or zero with no samples.
-func (h *Histogram) Mean() float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return h.Sum() / float64(len(h.samples))
-}
-
-// StdDev returns the population standard deviation.
-func (h *Histogram) StdDev() float64 {
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	m := h.Mean()
-	ss := 0.0
-	for _, v := range h.samples {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) by nearest-rank.
-func (h *Histogram) Percentile(p float64) float64 {
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
-	if p <= 0 {
-		return h.samples[0]
-	}
-	if p >= 100 {
-		return h.samples[n-1]
-	}
-	rank := int(math.Ceil(p/100*float64(n))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return h.samples[rank]
-}
-
-// Min returns the smallest sample, or zero with no samples.
-func (h *Histogram) Min() float64 { return h.Percentile(0) }
-
-// Max returns the largest sample, or zero with no samples.
-func (h *Histogram) Max() float64 { return h.Percentile(100) }
-
-// String summarizes the distribution for logs.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("%s: n=%d mean=%.2f p50=%.2f p99=%.2f max=%.2f",
-		h.Name, h.Count(), h.Mean(), h.Percentile(50), h.Percentile(99), h.Max())
-}
+import "math"
 
 // MeanStd returns the mean and population standard deviation of xs.
 func MeanStd(xs []float64) (mean, std float64) {
@@ -141,19 +40,6 @@ func MinMaxNormalize(xs []float64) []float64 {
 	}
 	for i, v := range xs {
 		out[i] = (v - lo) / (hi - lo)
-	}
-	return out
-}
-
-// NormalizeTo divides every element of xs by base. Used for "normalized to
-// baseline" series (e.g. normalized latency where Pond = 1.0).
-func NormalizeTo(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	if base == 0 {
-		return out
-	}
-	for i, v := range xs {
-		out[i] = v / base
 	}
 	return out
 }

@@ -6,61 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestHistogramBasics(t *testing.T) {
-	h := &Histogram{Name: "lat"}
-	for _, v := range []float64{1, 2, 3, 4, 5} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	if h.Mean() != 3 {
-		t.Fatalf("Mean = %v", h.Mean())
-	}
-	if h.Sum() != 15 {
-		t.Fatalf("Sum = %v", h.Sum())
-	}
-	if h.Min() != 1 || h.Max() != 5 {
-		t.Fatalf("Min/Max = %v/%v", h.Min(), h.Max())
-	}
-	if got := h.StdDev(); math.Abs(got-math.Sqrt(2)) > 1e-12 {
-		t.Fatalf("StdDev = %v, want sqrt(2)", got)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := &Histogram{}
-	if h.Mean() != 0 || h.StdDev() != 0 || h.Percentile(50) != 0 {
-		t.Fatal("empty histogram should report zeros")
-	}
-}
-
-func TestHistogramPercentile(t *testing.T) {
-	h := &Histogram{}
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
-	}
-	if got := h.Percentile(50); got != 50 {
-		t.Errorf("p50 = %v, want 50", got)
-	}
-	if got := h.Percentile(99); got != 99 {
-		t.Errorf("p99 = %v, want 99", got)
-	}
-	if got := h.Percentile(100); got != 100 {
-		t.Errorf("p100 = %v, want 100", got)
-	}
-}
-
-func TestHistogramObserveAfterPercentile(t *testing.T) {
-	h := &Histogram{}
-	h.Observe(5)
-	_ = h.Percentile(50)
-	h.Observe(1) // must re-sort internally
-	if h.Min() != 1 {
-		t.Fatalf("Min after late observe = %v, want 1", h.Min())
-	}
-}
-
 func TestMinMaxNormalize(t *testing.T) {
 	out := MinMaxNormalize([]float64{10, 20, 30})
 	want := []float64{0, 0.5, 1}
@@ -102,20 +47,6 @@ func TestMinMaxNormalizeProperty(t *testing.T) {
 	}
 }
 
-func TestNormalizeTo(t *testing.T) {
-	out := NormalizeTo([]float64{2, 4, 8}, 2)
-	want := []float64{1, 2, 4}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("out = %v, want %v", out, want)
-		}
-	}
-	zero := NormalizeTo([]float64{1, 2}, 0)
-	if zero[0] != 0 || zero[1] != 0 {
-		t.Fatal("zero base should yield zeros")
-	}
-}
-
 func TestMeanStd(t *testing.T) {
 	mean, std := MeanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if mean != 5 {
@@ -127,14 +58,5 @@ func TestMeanStd(t *testing.T) {
 	mean, std = MeanStd(nil)
 	if mean != 0 || std != 0 {
 		t.Error("empty MeanStd should be zeros")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := &Counter{Name: "hits"}
-	c.Inc()
-	c.Add(9)
-	if c.Value != 10 {
-		t.Fatalf("Value = %d, want 10", c.Value)
 	}
 }

@@ -4,21 +4,16 @@
 // CXL fabric switches, with tiered page management and an on-switch buffer,
 // evaluated against Pond, BEACON, and RecNMP baselines.
 //
-// The package offers two entry points:
-//
-//   - Session: a functional DLRM (embedding tables + MLPs) paired with a
-//     simulated system, for running real inferences while measuring the
-//     SLS operator's simulated latency under a chosen scheme.
-//   - Simulate: run a whole access trace through a scheme and collect the
-//     performance counters the paper's figures are built from.
+// The package has one entry point, Simulate: it runs an access trace
+// through a scheme and returns the performance counters the paper's
+// figures are built from. The trace may be generated (GenerateTrace,
+// TraceFor), loaded from a file (LoadTrace), or built bag by bag.
 //
 // The cmd/pifsbench binary and the repository's bench_test.go regenerate
 // every table and figure of the paper; see EXPERIMENTS.md.
 package pifsrec
 
 import (
-	"fmt"
-
 	"pifsrec/internal/dlrm"
 	"pifsrec/internal/engine"
 	"pifsrec/internal/fault"
@@ -68,8 +63,12 @@ const (
 // TraceSpec parameterizes trace generation.
 type TraceSpec = trace.Spec
 
-// Trace is a generated or loaded access trace.
+// Trace is a generated, loaded or hand-built access trace.
 type Trace = trace.Trace
+
+// Bag is one SparseLengthSum lookup of a Trace: row indices in one
+// embedding table, with optional per-index weights.
+type Bag = trace.Bag
 
 // GenerateTrace builds a synthetic trace.
 func GenerateTrace(spec TraceSpec) (*Trace, error) { return trace.Generate(spec) }
@@ -84,8 +83,17 @@ type Config = engine.Config
 // Result carries the measured outcome of a simulation.
 type Result = engine.Result
 
-// Simulate runs a trace through a scheme and returns the measurements.
-func Simulate(cfg Config) (Result, error) { return engine.Run(cfg) }
+// Simulate runs a trace through a scheme and returns the measurements. A
+// bag whose table or row lies outside the trace's shape, or whose weights
+// do not match its indices, is an error.
+func Simulate(cfg Config) (Result, error) {
+	if cfg.Trace != nil {
+		if err := cfg.Trace.Validate(); err != nil {
+			return Result{}, err
+		}
+	}
+	return engine.Run(cfg)
+}
 
 // FaultPlan is a declarative fault-injection schedule (see internal/fault):
 // link flaps, device failure or latency inflation, DRAM channel offlining,
@@ -139,85 +147,4 @@ func TraceFor(kind TraceKind, m ModelConfig, batches int) (*Trace, error) {
 		BagSize:      32,
 		Seed:         7,
 	})
-}
-
-// Session couples a functional DLRM with a simulated memory system: Infer
-// computes real click-through probabilities while the embedding accesses
-// are replayed through the simulator to measure SLS latency.
-type Session struct {
-	model  *dlrm.Model
-	scheme Scheme
-	// Accumulated simulated SLS time and query count.
-	slsNS   float64
-	queries int
-}
-
-// NewSession builds a session. The model config should be Scaled for
-// interactive use — a full Table I model allocates its real footprint.
-func NewSession(cfg ModelConfig, scheme Scheme, seed uint64) (*Session, error) {
-	m, err := dlrm.NewModel(cfg, seed)
-	if err != nil {
-		return nil, err
-	}
-	switch scheme {
-	case Pond, PondPM, BEACON, RecNMP, PIFSRec:
-	default:
-		return nil, fmt.Errorf("pifsrec: unknown scheme %q", scheme)
-	}
-	return &Session{model: m, scheme: scheme}, nil
-}
-
-// Model exposes the underlying functional DLRM.
-func (s *Session) Model() *dlrm.Model { return s.model }
-
-// Query is one inference input.
-type Query = dlrm.Query
-
-// Infer runs one query through the functional model and returns the
-// predicted click-through rate.
-func (s *Session) Infer(q Query) (float32, error) {
-	p, err := s.model.Infer(q)
-	if err != nil {
-		return 0, err
-	}
-	s.queries++
-	return p, nil
-}
-
-// MeasureSLS replays a batch of queries' embedding accesses through the
-// simulated system under the session's scheme and returns the mean
-// simulated SLS latency per lookup in nanoseconds.
-func (s *Session) MeasureSLS(queries []Query) (float64, error) {
-	cfg := s.model.Config
-	tr := &trace.Trace{
-		Name:         "session",
-		Tables:       cfg.Tables,
-		RowsPerTable: cfg.EmbRows,
-	}
-	for _, q := range queries {
-		if len(q.Bags) != cfg.Tables {
-			return 0, fmt.Errorf("pifsrec: query has %d bags, model has %d tables", len(q.Bags), cfg.Tables)
-		}
-		for t, bag := range q.Bags {
-			var w []float32
-			if q.Weights != nil {
-				w = q.Weights[t]
-			}
-			tr.Bags = append(tr.Bags, trace.Bag{Table: int32(t), Indices: bag, Weights: w})
-		}
-	}
-	if err := tr.Validate(); err != nil {
-		return 0, err
-	}
-	res, err := engine.Run(engine.Config{Scheme: s.scheme, Model: cfg, Trace: tr, Seed: 1})
-	if err != nil {
-		return 0, err
-	}
-	s.slsNS += res.NSPerBag * float64(res.Bags)
-	return res.NSPerBag, nil
-}
-
-// Stats summarizes the session.
-func (s *Session) Stats() (queries int, simulatedSLSNS float64) {
-	return s.queries, s.slsNS
 }

@@ -1,9 +1,6 @@
 package pifsrec
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func smallModel() ModelConfig {
 	m := RMC1().Scaled(64)
@@ -28,50 +25,43 @@ func TestSimulateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSessionInferAndMeasure(t *testing.T) {
-	s, err := NewSession(smallModel(), PIFSRec, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := s.Model().Config
-	q := Query{Dense: make([]float32, cfg.DenseFeatures)}
-	for i := range q.Dense {
-		q.Dense[i] = 0.1
-	}
-	for tb := 0; tb < cfg.Tables; tb++ {
-		q.Bags = append(q.Bags, []uint32{1, 5, 9})
-	}
-	p, err := s.Infer(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p <= 0 || p >= 1 || math.IsNaN(float64(p)) {
-		t.Fatalf("CTR = %v", p)
+// TestSimulateRejectsBadInput builds traces bag by bag, as a library
+// caller would, and checks that Simulate reports each malformed one as an
+// error instead of panicking or simulating it.
+func TestSimulateRejectsBadInput(t *testing.T) {
+	m := smallModel()
+	// Control: a well-formed hand-built trace, with the edge rows and
+	// weights, simulates.
+	good := &Trace{Tables: m.Tables, RowsPerTable: m.EmbRows, Bags: []Bag{
+		{Table: int32(m.Tables - 1), Indices: []uint32{0, uint32(m.EmbRows - 1)}, Weights: []float32{1, 0.5}},
+	}}
+	if r, err := Simulate(Config{Scheme: PIFSRec, Model: m, Trace: good, Seed: 1}); err != nil || r.Bags != 1 {
+		t.Fatalf("well-formed trace: %d bags, err %v", r.Bags, err)
 	}
 
-	lat, err := s.MeasureSLS([]Query{q, q, q})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		scheme Scheme
+		bag    Bag
+	}{
+		{"row past table", PIFSRec, Bag{Table: 0, Indices: []uint32{uint32(m.EmbRows)}}},
+		{"table past model", PIFSRec, Bag{Table: int32(m.Tables), Indices: []uint32{1}}},
+		{"negative table", PIFSRec, Bag{Table: -1, Indices: []uint32{1}}},
+		{"one weight for two indices", PIFSRec, Bag{Table: 0, Indices: []uint32{1, 2}, Weights: []float32{0.5}}},
+		{"unknown scheme", Scheme("warp-drive"), Bag{Table: 0, Indices: []uint32{1}}},
 	}
-	if lat <= 0 {
-		t.Fatalf("SLS latency %v", lat)
-	}
-	queries, sls := s.Stats()
-	if queries != 1 || sls <= 0 {
-		t.Fatalf("stats = %d, %v", queries, sls)
-	}
-}
-
-func TestSessionValidation(t *testing.T) {
-	if _, err := NewSession(smallModel(), Scheme("warp-drive"), 1); err == nil {
-		t.Error("unknown scheme accepted")
-	}
-	s, err := NewSession(smallModel(), Pond, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.MeasureSLS([]Query{{Bags: [][]uint32{{1}}}}); err == nil {
-		t.Error("shape-mismatched query accepted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Simulate panicked: %v", r)
+				}
+			}()
+			tr := &Trace{Tables: m.Tables, RowsPerTable: m.EmbRows, Bags: []Bag{tc.bag}}
+			if _, err := Simulate(Config{Scheme: tc.scheme, Model: m, Trace: tr, Seed: 1}); err == nil {
+				t.Fatal("Simulate accepted the input")
+			}
+		})
 	}
 }
 
