@@ -47,7 +47,6 @@ func main() {
 	hosts := flag.Int("hosts", 1, "concurrent hosts")
 	buffer := flag.Int("buffer", 512<<10, "on-switch buffer bytes (PIFS-Rec)")
 	shards := flag.Int("shards", 1, "engine shards (conservative-window intra-sim parallelism; results are identical at any count and placement)")
-	placement := flag.String("placement", "affinity", "dynamic placement flavor: affinity (traffic-aware co-location) or weight (weight-only LPT); pure scheduling, results are identical either way")
 	faults := flag.String("faults", "", "fault-injection plan (JSON file; see internal/fault)")
 	scenarioFile := flag.String("scenario", "", "open-loop arrival scenario (JSON file; see internal/scenario) — adds tail-latency and goodput-under-SLO reporting")
 	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory (created if missing; sweeps re-simulate only configs the cache has never seen)")
@@ -171,12 +170,6 @@ func main() {
 			*shards, groups, groups)
 		os.Exit(2)
 	}
-	switch *placement {
-	case "affinity", "weight":
-	default:
-		fmt.Fprintf(os.Stderr, "pifssim: unknown -placement %q (have affinity, weight)\n", *placement)
-		os.Exit(2)
-	}
 
 	m, err := dlrm.ModelByName(*model)
 	if err != nil {
@@ -232,18 +225,17 @@ func main() {
 	}
 
 	res, err := pifsrec.Simulate(pifsrec.Config{
-		Scheme:        pifsrec.Scheme(*scheme),
-		Model:         m,
-		Trace:         tr,
-		Devices:       *devices,
-		Switches:      *switches,
-		Hosts:         *hosts,
-		Shards:        *shards,
-		PlacementMode: *placement,
-		BufferBytes:   *buffer,
-		Faults:        plan,
-		Scenario:      sc,
-		Seed:          1,
+		Scheme:      pifsrec.Scheme(*scheme),
+		Model:       m,
+		Trace:       tr,
+		Devices:     *devices,
+		Switches:    *switches,
+		Hosts:       *hosts,
+		Shards:      *shards,
+		BufferBytes: *buffer,
+		Faults:      plan,
+		Scenario:    sc,
+		Seed:        1,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pifssim:", err)
@@ -262,8 +254,8 @@ func main() {
 	if s.Envelopes > 0 {
 		crossPct = 100 * float64(s.CrossShardEnvelopes) / float64(s.Envelopes)
 	}
-	fmt.Printf("sched: %d workers (%s); %d envelopes, %d cross-shard (%.1f%%)\n",
-		s.Workers, *placement, s.Envelopes, s.CrossShardEnvelopes, crossPct)
+	fmt.Printf("sched: %d workers; %d envelopes, %d cross-shard (%.1f%%)\n",
+		s.Workers, s.Envelopes, s.CrossShardEnvelopes, crossPct)
 	fmt.Printf("sched: %d windows run, %d elided; fired share %s\n",
 		s.WindowsRun, s.WindowsElided, firedShare(s.WorkerFiredShare))
 	if sc != nil && !sc.Empty() {

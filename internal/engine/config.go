@@ -63,29 +63,21 @@ type Config struct {
 	Hosts int
 
 	// Shards is the number of parallel engine workers the simulation runs
-	// on (default 1). Hosts, switches, and devices are component groups
-	// placed onto workers by greedy cost-balanced bin-packing (static
-	// weights refined by measured per-window event counts) and advance in
-	// conservative time windows bounded by the minimum CXL link latency, so
-	// a big configuration scales across cores. Results are byte-identical
-	// at every shard count and under every placement.
+	// on (default 1). Hosts, switches, and devices are component groups,
+	// placed onto workers once, at the start of the run, by greedy
+	// cost-balanced bin-packing over their static weights (sim.PlaceGroups),
+	// and they advance in conservative time windows bounded by the minimum
+	// CXL link latency, so a big configuration scales across cores. Results
+	// are byte-identical at every shard count and under every placement.
 	Shards int
 
-	// Placement overrides the default cost-balanced dynamic placement with
-	// a static policy (groups -> workers). Placement is pure scheduling —
-	// results never depend on it; the property tests exploit this field to
-	// prove it. Nil selects the default. Excluded from the JSON form (a
-	// func type has no wire representation); jobs carrying one are not
-	// distributable and run on the coordinator.
+	// Placement replaces sim.PlaceGroups with another policy (groups ->
+	// workers), evaluated once like the default. Placement is pure
+	// scheduling — results never depend on it; the property tests exploit
+	// this field to prove it. Nil selects the default. Excluded from the
+	// JSON form (a func type has no wire representation); jobs carrying one
+	// are not distributable and run on the coordinator.
 	Placement sim.PlacementPolicy `json:"-"`
-
-	// PlacementMode selects the dynamic placement flavor: "" or "affinity"
-	// (the default) co-locates chatty group pairs along the measured
-	// traffic-affinity EMA subject to the cost-balance bound; "weight" is
-	// the weight-only LPT baseline. Ignored when Placement is set. Pure
-	// scheduling — results are byte-identical under every mode — so it is
-	// NOT part of the canonical config encoding.
-	PlacementMode string
 
 	// DisableBarrierElision turns off empty-window barrier elision (the
 	// pay-as-you-go synchronization fast path). Elision is pure scheduling
@@ -144,8 +136,8 @@ type Config struct {
 
 // ComponentGroups returns the number of placement groups the configuration
 // assembles — hosts + switches + devices after defaulting — which is the
-// largest Shards value that buys any parallelism. CLI front-ends and the
-// harness runner reject requests outside [1, ComponentGroups].
+// largest Shards value that buys any parallelism. The pifssim CLI rejects
+// requests outside [1, ComponentGroups].
 func (c Config) ComponentGroups() int {
 	h, s, d := defaultCounts(c.Hosts, c.Switches, c.Devices)
 	return h + s + d
@@ -193,11 +185,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("engine: negative shard count %d", c.Shards)
-	}
-	switch c.PlacementMode {
-	case "", "affinity", "weight":
-	default:
-		return fmt.Errorf("engine: unknown placement mode %q (want affinity or weight)", c.PlacementMode)
 	}
 	if c.LocalFraction == 0 {
 		c.LocalFraction = 0.125

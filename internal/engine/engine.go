@@ -41,12 +41,12 @@ const (
 // placement groups — each host with its local DRAM channel banks and
 // caches, each switch with its core and buffer, each CXL device with its
 // controller and banks — and every group owns a private engine the sharded
-// coordinator places onto workers by cost-balanced bin-packing (static
-// component weights refined by measured per-window event counts). Groups
-// interact only through value-typed mailbox messages whose latency is at
-// least the window width, so a window's events in different groups are
-// causally independent; results are byte-identical at any worker count and
-// under any placement, including the 1-worker reference.
+// coordinator places onto workers once, by cost-balanced bin-packing over
+// the static component weights. Groups interact only through value-typed
+// mailbox messages whose latency is at least the window width, so a
+// window's events in different groups are causally independent; results are
+// byte-identical at any worker count and under any placement, including the
+// 1-worker reference.
 //
 // Shared state is read-mostly by construction: the layout and trace are
 // immutable, and the tier manager's placement only changes at window
@@ -88,10 +88,9 @@ type system struct {
 }
 
 // shardCount clamps the configured worker count to the group count —
-// placement never needs more workers than groups. The pifssim CLI and the
-// harness runner reject out-of-range requests up front; the clamp here
-// keeps programmatic sweeps (which probe deliberately oversized counts to
-// prove invariance) valid.
+// placement never needs more workers than groups. The pifssim CLI rejects
+// out-of-range requests up front; the clamp here keeps programmatic sweeps
+// (which probe deliberately oversized counts to prove invariance) valid.
 func shardCount(cfg Config) int {
 	groups := cfg.ComponentGroups()
 	n := cfg.Shards
@@ -373,10 +372,7 @@ func deviceGeometry() dram.Geometry {
 func build(cfg Config) (*system, error) {
 	s := &system{cfg: cfg}
 	s.se = sim.NewSharded(shardCount(cfg), cxl.PortOverheadNS)
-	if cfg.Placement != nil {
-		s.se.SetPlacement(cfg.Placement)
-	}
-	s.se.SetAffinityPlacement(cfg.PlacementMode != "weight")
+	s.se.SetPlacement(cfg.Placement)
 	// One placement group per host, switch, and device, in endpoint order;
 	// weights accrue as components register.
 	for g := 0; g < cfg.Hosts+cfg.Switches+cfg.Devices; g++ {

@@ -9,8 +9,8 @@ import (
 	"pifsrec/internal/trace"
 )
 
-// openLoopBase returns a multi-switch, multi-host configuration (the same
-// shape as the affinity gate's) plus its measured closed-loop capacity in
+// openLoopBase returns a multi-switch, multi-host configuration (2 hosts,
+// 2 switches, 8 devices) plus its measured closed-loop capacity in
 // bags per second — the natural unit for picking open-loop rates that sit
 // below or above the knee without hard-coding this machine's service times.
 func openLoopBase(t *testing.T) (Config, float64) {
@@ -84,7 +84,7 @@ func TestOpenLoopTailGrowsWithLoad(t *testing.T) {
 // TestScenarioDeterminismProperty is the scenario-determinism gate: for
 // every generator kind, identical specs produce byte-identical latency
 // tables (the full Result modulo Sched) across shard counts 1/2/4, every
-// placement policy and dynamic mode, and elision on/off. Arrival times are
+// placement policy, and elision on/off. Arrival times are
 // precomputed from the spec before any sharding decision, completions are
 // shard-invariant by the engine's standing contract, and per-host sketches
 // merge in host order — this test is the proof.
@@ -127,20 +127,17 @@ func TestScenarioDeterminismProperty(t *testing.T) {
 							shards, pol.name, got.Latency, want.Latency)
 					}
 				}
-				for _, mode := range []string{"affinity", "weight"} {
-					for _, noElide := range []bool{false, true} {
-						c := base
-						c.Shards = shards
-						c.PlacementMode = mode
-						c.DisableBarrierElision = noElide
-						got, err := Run(c)
-						if err != nil {
-							t.Fatalf("shards=%d mode=%s elide-off=%v: %v", shards, mode, noElide, err)
-						}
-						if !reflect.DeepEqual(noSched(got), noSched(want)) {
-							t.Fatalf("shards=%d mode=%s elide-off=%v: latency table diverged:\n got %+v\nwant %+v",
-								shards, mode, noElide, got.Latency, want.Latency)
-						}
+				for _, noElide := range []bool{false, true} {
+					c := base
+					c.Shards = shards
+					c.DisableBarrierElision = noElide
+					got, err := Run(c)
+					if err != nil {
+						t.Fatalf("shards=%d elide-off=%v: %v", shards, noElide, err)
+					}
+					if !reflect.DeepEqual(noSched(got), noSched(want)) {
+						t.Fatalf("shards=%d elide-off=%v: latency table diverged:\n got %+v\nwant %+v",
+							shards, noElide, got.Latency, want.Latency)
 					}
 				}
 			}

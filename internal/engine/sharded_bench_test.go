@@ -59,8 +59,8 @@ func BenchmarkShardedBigConfig(b *testing.B) {
 			}
 		})
 	}
-	// Placement matrix at the widest shard count: the dynamic cost-balanced
-	// default against static round-robin (PR 3's dealing) and a worst-case
+	// Placement matrix at 4 shards: the static cost-balanced default
+	// (PlaceGroups) against round-robin dealing and a worst-case
 	// single-worker pile-up. Tables are byte-identical across rows; the
 	// wall-clock ratios are what the cost model buys.
 	placements := []struct {

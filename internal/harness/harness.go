@@ -85,8 +85,8 @@ func traceFor(kind trace.Kind, m dlrm.ModelConfig, batches int) *trace.Trace {
 // (harness configs are code, not user input). The scheduling-quality report
 // is stripped: job results are cached under a shard- and placement-
 // independent identity, and Sched is the one Result field that varies with
-// the core split — dropping it keeps warm tables byte-identical to cold
-// ones at any parallelism.
+// the shard count — dropping it keeps a cached result byte-identical to a
+// fresh run of the same config at any shard count.
 func run(cfg engine.Config) engine.Result {
 	r, err := engine.Run(cfg)
 	if err != nil {

@@ -173,17 +173,11 @@ func CacheStats() memo.Stats {
 	return memoStore.Stats()
 }
 
-// execJob runs one job for real. sweep is the sweep's total job count, used
-// for the runner's core split between sweep fan-out and intra-sim shards —
-// pure scheduling, never part of the job's identity.
-func execJob(r *Runner, sweep int, j Job) JobResult {
+// execJob runs one job for real, an engine job at its own Shards.
+func execJob(j Job) JobResult {
 	switch {
 	case j.Engine != nil:
-		cfg := *j.Engine
-		if cfg.Shards == 0 {
-			cfg.Shards = r.ShardsPerConfig(sweep, cfg.ComponentGroups())
-		}
-		return JobResult{Engine: run(cfg)}
+		return JobResult{Engine: run(*j.Engine)}
 	case j.Numa != nil:
 		res, err := numasim.RunModel(j.Numa.Model, j.Numa.Platform, j.Numa.Workload, j.Numa.Placement)
 		if err != nil {
@@ -238,7 +232,7 @@ func (r *Runner) RunJobsLocal(st *memo.Store, jobs []Job) []JobResult {
 func (r *Runner) runJobs(st *memo.Store, dist Distributor, jobs []Job) []JobResult {
 	out := make([]JobResult, len(jobs))
 	if st == nil {
-		r.Do(len(jobs), func(i int) { out[i] = execJob(r, len(jobs), jobs[i]) })
+		r.Do(len(jobs), func(i int) { out[i] = execJob(jobs[i]) })
 		return out
 	}
 	hashes := make([]memo.Hash, len(jobs))
@@ -267,13 +261,13 @@ func (r *Runner) runJobs(st *memo.Store, dist Distributor, jobs []Job) []JobResu
 			missHashes[k] = hashes[i]
 		}
 		res := dist(missJobs, missHashes, r.workers, func(k int) JobResult {
-			return execJob(r, len(jobs), missJobs[k])
+			return execJob(missJobs[k])
 		})
 		for k, i := range miss {
 			out[i] = res[k]
 		}
 	} else {
-		r.Do(len(miss), func(k int) { out[miss[k]] = execJob(r, len(jobs), jobs[miss[k]]) })
+		r.Do(len(miss), func(k int) { out[miss[k]] = execJob(jobs[miss[k]]) })
 	}
 	for _, i := range miss {
 		if payload, err := EncodeJobResult(out[i]); err == nil {

@@ -83,43 +83,10 @@ func (r *Runner) Do(n int, fn func(int)) {
 	}
 }
 
-// ShardsPerConfig splits the pool's cores between sweep-level and intra-sim
-// parallelism: with fewer configurations than workers, the spare cores run
-// each simulation on that many engine shards (conservative-time-window
-// sharding); with a saturated sweep, shards stay at 1 and the pool
-// parallelizes across configurations only. groups is the configuration's
-// component-group count (engine.Config.ComponentGroups) and bounds the
-// result — shards beyond the group count buy nothing; a group count below
-// one is a configuration bug and panics rather than being silently
-// clamped. Because simulation results are byte-identical at every shard
-// count and placement, the split is a pure scheduling decision — tables
-// never depend on it.
-func (r *Runner) ShardsPerConfig(n, groups int) int {
-	if groups < 1 {
-		panic(fmt.Sprintf("harness: configuration with %d component groups (need >= 1)", groups))
-	}
-	if n <= 0 {
-		return 1
-	}
-	concurrent := r.workers
-	if concurrent > n {
-		concurrent = n
-	}
-	shards := r.workers / concurrent
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > groups {
-		shards = groups
-	}
-	return shards
-}
-
 // RunConfigs simulates every config and returns the results in input order,
 // panicking on configuration errors exactly like the serial run helper.
-// Configs that leave Shards at zero inherit the pool's core split, bounded
-// by their own component-group count; an explicit Shards value is honored
-// as-is (the engine documents its clamp).
+// Each config runs at its own Shards (zero means one; the engine documents
+// its clamp).
 func (r *Runner) RunConfigs(cfgs []engine.Config) []engine.Result {
 	jobs := make([]Job, len(cfgs))
 	for i := range cfgs {
@@ -147,17 +114,13 @@ func (r *Runner) RunConfigsIsolated(cfgs []engine.Config) ([]engine.Result, []er
 				errs[i] = fmt.Errorf("harness: config %d (%s) panicked: %v", i, cfgs[i].Scheme, p)
 			}
 		}()
-		cfg := cfgs[i]
-		if cfg.Shards == 0 {
-			cfg.Shards = r.ShardsPerConfig(len(cfgs), cfg.ComponentGroups())
-		}
-		res, err := engine.Run(cfg)
+		res, err := engine.Run(cfgs[i])
 		if err != nil {
 			errs[i] = err
 			return
 		}
 		// Strip the scheduling-quality report like the memoized path does:
-		// the core split varies with pool width, and sweep answers must not.
+		// it varies with the shard count, and sweep answers must not.
 		res.Sched = sim.SchedStats{}
 		results[i] = res
 	})

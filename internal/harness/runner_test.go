@@ -90,35 +90,6 @@ func TestFiguresByteIdenticalAcrossPoolWidths(t *testing.T) {
 	}
 }
 
-func TestShardsPerConfigSplit(t *testing.T) {
-	cases := []struct{ workers, configs, groups, want int }{
-		{1, 10, 64, 1}, // serial pool: no spare cores
-		{4, 10, 64, 1}, // saturated sweep: all cores to sweep-level fan-out
-		{4, 4, 64, 1},  // exactly saturated
-		{4, 2, 64, 2},  // half-empty sweep: 2 cores per simulation
-		{8, 3, 64, 2},  // floor(8/3)
-		{4, 1, 64, 4},  // single config gets every core as shards
-		{4, 0, 64, 1},  // degenerate
-		{8, 1, 3, 3},   // group-bounded: 8 spare cores, 3 component groups
-		{4, 1, 1, 1},   // single-group config never shards
-	}
-	for _, c := range cases {
-		if got := NewRunner(c.workers).ShardsPerConfig(c.configs, c.groups); got != c.want {
-			t.Errorf("ShardsPerConfig(workers=%d, configs=%d, groups=%d) = %d, want %d",
-				c.workers, c.configs, c.groups, got, c.want)
-		}
-	}
-}
-
-func TestShardsPerConfigRejectsNoGroups(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("ShardsPerConfig accepted a zero-group configuration")
-		}
-	}()
-	NewRunner(4).ShardsPerConfig(1, 0)
-}
-
 // TestReportTablesPlacementInvariant renders a scheme sweep under forced
 // placement policies and requires byte-identical tables — the table-level
 // form of the placement-independence property.
@@ -142,7 +113,7 @@ func TestReportTablesPlacementInvariant(t *testing.T) {
 		}
 		return tbl.String()
 	}
-	base := render(nil) // dynamic cost-balanced default
+	base := render(nil) // the PlaceGroups default
 	policies := []sim.PlacementPolicy{
 		func(weights []float64, _ int) []int32 { return make([]int32, len(weights)) }, // all on one
 		func(weights []float64, workers int) []int32 { // reverse deal

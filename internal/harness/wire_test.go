@@ -36,9 +36,9 @@ func TestJobWireRoundTrip(t *testing.T) {
 				t.Errorf("%s job %d: decoded job hashes %s, want %s", id, i, got.Hex()[:12], want.Hex()[:12])
 			}
 			if dec.Engine != nil {
-				if dec.Engine.Shards != 0 || dec.Engine.PlacementMode != "" || dec.Engine.DisableBarrierElision {
+				if dec.Engine.Shards != 0 || dec.Engine.DisableBarrierElision {
 					t.Errorf("%s job %d: scheduling fields survived the wire: %+v", id, i,
-						[]any{dec.Engine.Shards, dec.Engine.PlacementMode, dec.Engine.DisableBarrierElision})
+						[]any{dec.Engine.Shards, dec.Engine.DisableBarrierElision})
 				}
 			}
 		}
@@ -60,7 +60,6 @@ func TestJobWireSchedulingStripped(t *testing.T) {
 	}
 	cfg := *base.Engine
 	cfg.Shards = 3
-	cfg.PlacementMode = "weight"
 	cfg.DisableBarrierElision = true
 	sched, err := EncodeJob(Job{Engine: &cfg})
 	if err != nil {

@@ -34,7 +34,6 @@ package serve
 
 import (
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -566,8 +565,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req leaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding lease request: %v", err)
+	if !decodeRequest(w, r, &req, "decoding lease request") {
 		return
 	}
 	if req.Worker == "" {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -344,6 +345,19 @@ func TestSingleflightSharedEntries(t *testing.T) {
 	}
 	if st := c.Stats(); st.Inflight != 0 {
 		t.Errorf("%d entries left on the board after both sweeps released", st.Inflight)
+	}
+}
+
+// TestLeaseEndpointBoundsBody: a valid lease request padded past 1 MiB is
+// answered 413, and the worker it names never registers.
+func TestLeaseEndpointBoundsBody(t *testing.T) {
+	srv, c := distServer(t, CoordinatorConfig{})
+	code, msg := postPadded(t, srv.URL+"/v1/jobs/lease", `{"worker":"padded","max":1}`)
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "exceeds") {
+		t.Errorf("padded lease body: %d %q, want 413 naming the bound", code, msg)
+	}
+	if n := c.Stats().LiveWorkers; n != 0 {
+		t.Errorf("%d workers registered from a rejected lease request", n)
 	}
 }
 

@@ -21,6 +21,9 @@
 //	POST /v1/jobs/fail          worker push: return a lease unrun
 //	GET  /v1/jobs/status        job board + per-worker counters
 //
+// The JSON request bodies of /v1/simulate and /v1/jobs/lease are bounded at
+// maxRequestBytes (after gzip decoding); a larger body is answered 413.
+//
 // /v1/run responses carry X-Memo-Hits / X-Memo-Misses headers — the cache's
 // hit and miss deltas while the request ran — and, with a coordinator
 // attached, X-Jobs-Remote / X-Jobs-Local / X-Jobs-Shared: how many of the
@@ -36,6 +39,7 @@ package serve
 import (
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -344,6 +348,29 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxRequestBytes bounds a JSON request body: a simulate sweep or a lease
+// request is a few hundred bytes per config, so 1 MiB is far past any
+// legitimate one.
+const maxRequestBytes = 1 << 20
+
+// decodeRequest decodes r's JSON body into v, reading at most
+// maxRequestBytes. On failure it writes the error response — 413 for an
+// oversized body, 400 for anything else, prefixed by what — and returns
+// false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "%s: body exceeds %d bytes", what, tooLarge.Limit)
+	} else {
+		writeError(w, http.StatusBadRequest, "%s: %v", what, err)
+	}
+	return false
+}
+
 func handleExperiments(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
@@ -387,8 +414,7 @@ func handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Configs []ConfigSpec `json:"configs"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeRequest(w, r, &req, "decoding request") {
 		return
 	}
 	if len(req.Configs) == 0 {

@@ -203,6 +203,34 @@ func TestSimulateEndpointRejectsBadInput(t *testing.T) {
 	}
 }
 
+// postPadded posts a valid JSON object body with an unknown "pad" field
+// that pushes it past maxRequestBytes, and returns the response status and
+// error message.
+func postPadded(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	padded := strings.TrimSuffix(body, "}") + `,"pad":"` + strings.Repeat("x", maxRequestBytes) + `"}`
+	resp, err := http.Post(url, "application/json", strings.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Error string `json:"error"`
+	}
+	json.NewDecoder(resp.Body).Decode(&out)
+	return resp.StatusCode, out.Error
+}
+
+// TestSimulateEndpointBoundsBody: a valid sweep padded past 1 MiB is
+// answered 413 before any config runs.
+func TestSimulateEndpointBoundsBody(t *testing.T) {
+	srv := testServer(t)
+	code, msg := postPadded(t, srv.URL+"/v1/simulate", `{"configs":[{"scheme":"Pond"}]}`)
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "exceeds") {
+		t.Errorf("padded simulate body: %d %q, want 413 naming the bound", code, msg)
+	}
+}
+
 func TestStatsEndpointAndMethods(t *testing.T) {
 	srv := testServer(t)
 	resp, body := get(t, srv.URL+"/v1/stats")

@@ -83,8 +83,8 @@ func (p *pinger) WindowEnd(at Tick) {
 }
 
 // TestComponentRegistryDispatch wires two registered components (no deliver
-// override) and checks the mailbox routes straight to HandleMsg, window
-// hooks fire, and measured costs accumulate.
+// override) and checks the mailbox routes straight to HandleMsg and window
+// hooks fire.
 func TestComponentRegistryDispatch(t *testing.T) {
 	se := NewSharded(2, 50)
 	g0 := se.NewGroup(0)
@@ -115,9 +115,6 @@ func TestComponentRegistryDispatch(t *testing.T) {
 	}
 	if a.lastWend == 0 {
 		t.Error("WindowEnd never saw a window-end time")
-	}
-	if se.MeasuredCost(int(g0)) <= 0 || se.MeasuredCost(int(g1)) <= 0 {
-		t.Errorf("measured costs not refined: %v %v", se.MeasuredCost(0), se.MeasuredCost(1))
 	}
 	if se.PendingMessages() != 0 {
 		t.Errorf("%d messages leaked", se.PendingMessages())

@@ -12,15 +12,15 @@
 // placement-independent order ((deliverAt, port, seq)) and written straight
 // into the destination group's calendar as envelope events.
 //
-// Placement — which worker runs which groups — is decided per window by
-// greedy cost-balanced bin-packing: group weights are seeded from the
-// components' static CostWeight declarations and refined by per-window
-// measured event counts (each group engine's fired-event delta). Because a
-// group's event stream is confined to its own engine and the merge key never
-// mentions placement, the token-event sequence each component observes is
-// identical whether its peers share its worker or run three workers away.
-// That is what lets the figure harness pick any worker count AND any
-// placement policy and produce byte-identical tables.
+// Placement — which worker runs which groups — is decided once, at the first
+// Run, by a PlacementPolicy over the static group weights (the components'
+// CostWeight declarations); the default is greedy cost-balanced bin-packing
+// (PlaceGroups). Each window runs the active groups on their placed workers.
+// Because a group's event stream is confined to its own engine and the merge
+// key never mentions placement, the token-event sequence each component
+// observes is identical whether its peers share its worker or run three
+// workers away. That is what lets callers pick any worker count AND any
+// placement policy and get byte-identical results.
 //
 // All mailbox structures are pooled: outboxes are rings reset at each
 // barrier, envelope slots and their address buffers recycle through
@@ -77,11 +77,11 @@ type outbox struct {
 }
 
 // groupState is one placement group: a private engine, its outbox, and its
-// cost bookkeeping.
+// static weight.
 type groupState struct {
 	eng    *Engine
 	out    outbox
-	weight float64 // static seed (sum of registered component weights)
+	weight float64 // sum of registered component weights plus the NewGroup seed
 }
 
 // Outbox is the sender-side handle links bind to.
@@ -118,13 +118,10 @@ type ShardedEngine struct {
 	gatherSrc []int32 // source group per gathered message (arena lookup)
 	inCount   []int32 // per-group incoming tally (envelope reservation)
 
-	// Placement state: an optional static policy, else per-window LPT over
-	// measured costs.
+	// Placement: the policy (nil means PlaceGroups) and the group -> worker
+	// assignment it returned at the first Run.
 	policy PlacementPolicy
-	placed []int32 // group -> worker under a static policy
-
-	cost      []float64 // refined per-group cost (EMA of fired events)
-	prevFired []uint64
+	placed []int32
 
 	// Per-window scratch (allocated once at first Run). nextAt caches each
 	// group's earliest pending-event time; it is recomputed only when the
@@ -134,10 +131,6 @@ type ShardedEngine struct {
 	dirty     []bool
 	lastSched []uint64
 	active    []int32
-	activeW   []float64
-	orderSc   []int32
-	loadSc    []float64
-	planned   []int32
 	plan      [][]int32
 
 	// persistent window workers (only for >1 worker on >1 core)
@@ -152,12 +145,6 @@ type ShardedEngine struct {
 	envCount      int64
 	crossCount    int64
 
-	// curWorker is each group's worker under the most recent plan (static
-	// assignment when placed, zeros for one worker); workerFired accumulates
-	// fired-event deltas per worker for the fired-share stat.
-	curWorker   []int32
-	workerFired []uint64
-
 	// Barrier-elision state: a window that staged no cross-group messages
 	// skips the whole barrier sequence when every hooked component is a
 	// BarrierIdler reporting idle and the installed barrier (if any) reports
@@ -166,34 +153,7 @@ type ShardedEngine struct {
 	idlers        []BarrierIdler
 	hookVeto      bool
 	barrierIdleFn func() bool
-
-	// Traffic-affinity state (dynamic multi-worker placement only): aff is a
-	// dense n x n EMA of per-window cross-group envelope counts keyed
-	// a*n+b (a < b), affPairs lists the live keys, affDelta/affTouched stage
-	// the current window's counts. The packer scratch below keeps the
-	// per-window affinity plan allocation-free.
-	affinity    bool
-	aff         []float64
-	affDelta    []float64
-	affIn       []bool
-	affPairs    []int
-	affTouched  []int
-	edgeSc      []AffinityEdge
-	parentSc    []int32
-	cwSc        []float64
-	rootsSc     []int32
-	groupPos    []int32
-	posStamp    []uint32
-	posStampGen uint32
 }
-
-// affMaxGroups bounds the dense affinity matrix: beyond it the engine falls
-// back to weight-only LPT rather than allocate O(n^2) floats.
-const affMaxGroups = 512
-
-// affPrune is the EMA floor below which an affinity pair is dropped from the
-// live set — stale edges decay out in a few dozen windows.
-const affPrune = 1.0 / 1024
 
 // workerDone is one worker's window-completion report; pan carries a
 // recovered panic (nil on a clean window) so a shard blowing a watchdog
@@ -214,7 +174,7 @@ func NewSharded(workers int, window Tick) *ShardedEngine {
 	if window <= 0 {
 		panic(fmt.Sprintf("sim: NewSharded with window %d", window))
 	}
-	se := &ShardedEngine{workers: workers, window: window, affinity: true}
+	se := &ShardedEngine{workers: workers, window: window}
 	se.shim = deliverShim{se}
 	return se
 }
@@ -240,17 +200,6 @@ func (se *ShardedEngine) Group(g int) *Engine { return se.groups[g].eng }
 // GroupWeight returns a group's static weight seed (its components' summed
 // CostWeight declarations plus any NewGroup seed).
 func (se *ShardedEngine) GroupWeight(g int) float64 { return se.groups[g].weight }
-
-// MeasuredCost returns a group's refined cost estimate: the exponential
-// moving average of its per-window fired-event counts, seeded from the
-// static weight. Dynamic multi-worker placement balances these; runs that
-// never consult them (one worker, static policy) keep the seed.
-func (se *ShardedEngine) MeasuredCost(g int) float64 {
-	if se.cost == nil {
-		return se.groups[g].weight
-	}
-	return se.cost[g]
-}
 
 // Register adds a component and returns its endpoint id (assigned in
 // registration order — the order must not depend on worker count or
@@ -315,20 +264,10 @@ func (se *ShardedEngine) SetDeliver(fn func(Envelope)) { se.deliver = fn }
 // belongs here.
 func (se *ShardedEngine) SetBarrier(fn func(at Tick)) { se.barrier = fn }
 
-// SetPlacement installs a static placement policy evaluated once, at the
-// first Run, over the static group weights. The default (nil) is dynamic:
-// greedy cost-balanced bin-packing re-planned every window from measured
-// event counts. Placement is pure scheduling — results are byte-identical
-// under every policy.
+// SetPlacement installs the placement policy, evaluated once, at the first
+// Run, over the static group weights. nil selects PlaceGroups. Placement is
+// pure scheduling — results are byte-identical under every policy.
 func (se *ShardedEngine) SetPlacement(p PlacementPolicy) { se.policy = p }
-
-// SetAffinityPlacement toggles traffic-affinity packing in the dynamic
-// placement (default on): when enabled, the per-window plan co-locates
-// chatty group pairs along the measured envelope-count EMA subject to the
-// cost-balance bound, falling back to weight-only LPT while no edges have
-// been observed. Pure scheduling — results are byte-identical either way.
-// Must be called before the first Run.
-func (se *ShardedEngine) SetAffinityPlacement(on bool) { se.affinity = on }
 
 // SetBarrierIdle declares when the SetBarrier hook would be a no-op: fn
 // reports true while skipping the barrier hook observes and changes
@@ -426,19 +365,8 @@ func (se *ShardedEngine) exchange() {
 			dst := o.msgs[j].dstGroup
 			se.inCount[dst]++
 			se.envCount++
-			if se.curWorker[src] != se.curWorker[dst] {
+			if se.placed[src] != se.placed[dst] {
 				se.crossCount++
-			}
-			if se.aff != nil && src != dst {
-				a, b := src, dst
-				if a > b {
-					a, b = b, a
-				}
-				k := int(a)*len(se.groups) + int(b)
-				if se.affDelta[k] == 0 {
-					se.affTouched = append(se.affTouched, k)
-				}
-				se.affDelta[k]++
 			}
 		}
 	}
@@ -459,42 +387,6 @@ func (se *ShardedEngine) exchange() {
 		se.groups[i].out.msgs = se.groups[i].out.msgs[:0]
 		se.groups[i].out.arena = se.groups[i].out.arena[:0]
 	}
-	if se.aff != nil {
-		se.updateAffinity()
-	}
-}
-
-// updateAffinity folds the window's staged pair counts into the affinity
-// EMA (same 0.75/0.25 blend as the cost EMA) and prunes pairs that decayed
-// below affPrune, keeping the live-pair list compact. The live-pair order is
-// a function of message history alone — and the packer fully re-sorts edges
-// anyway — so the resulting plans are deterministic.
-func (se *ShardedEngine) updateAffinity() {
-	w := 0
-	for _, k := range se.affPairs {
-		v := 0.75*se.aff[k] + 0.25*se.affDelta[k]
-		se.affDelta[k] = 0
-		if v < affPrune {
-			se.aff[k] = 0
-			se.affIn[k] = false
-			continue
-		}
-		se.aff[k] = v
-		se.affPairs[w] = k
-		w++
-	}
-	se.affPairs = se.affPairs[:w]
-	for _, k := range se.affTouched {
-		d := se.affDelta[k]
-		if d == 0 {
-			continue // already live: folded by the decay pass above
-		}
-		se.affDelta[k] = 0
-		se.aff[k] = 0.25 * d
-		se.affIn[k] = true
-		se.affPairs = append(se.affPairs, k)
-	}
-	se.affTouched = se.affTouched[:0]
 }
 
 // SchedStats is the scheduling-quality report of one run: how many barrier
@@ -512,7 +404,7 @@ type SchedStats struct {
 	WindowsElided int64
 	// Envelopes counts every cross-group mailbox message merged;
 	// CrossShardEnvelopes the subset whose source and destination groups were
-	// planned onto different workers — the hop count placement minimizes.
+	// placed on different workers.
 	Envelopes           int64
 	CrossShardEnvelopes int64
 	// WorkerFiredShare is each worker's share of all fired events (sums to 1
@@ -532,23 +424,8 @@ func (se *ShardedEngine) SchedStats() SchedStats {
 		WorkerFiredShare:    make([]float64, se.workers),
 	}
 	totals := make([]uint64, se.workers)
-	switch {
-	case se.workers == 1:
-		for g := range se.groups {
-			totals[0] += se.groups[g].eng.Fired()
-		}
-	case se.placed != nil:
-		for g := range se.groups {
-			totals[se.placed[g]] += se.groups[g].eng.Fired()
-		}
-	case se.curWorker != nil:
-		// Dynamic placement: windows already refined are attributed in
-		// workerFired; the tail since the last refinement goes to each
-		// group's current worker.
-		copy(totals, se.workerFired)
-		for g := range se.groups {
-			totals[se.curWorker[g]] += se.groups[g].eng.Fired() - se.prevFired[g]
-		}
+	for g, w := range se.placed {
+		totals[w] += se.groups[g].eng.Fired()
 	}
 	var sum uint64
 	for _, t := range totals {
@@ -624,7 +501,7 @@ func (se *ShardedEngine) stopWorkers() {
 }
 
 // ensureScratch sizes the per-window scratch to the group/worker counts and
-// seeds the refined costs from the static weights.
+// places the groups: the one evaluation of the placement policy.
 func (se *ShardedEngine) ensureScratch() {
 	n := len(se.groups)
 	if len(se.nextAt) == n && len(se.plan) == se.workers {
@@ -637,123 +514,38 @@ func (se *ShardedEngine) ensureScratch() {
 		se.dirty[i] = true
 	}
 	se.active = make([]int32, 0, n)
-	se.activeW = make([]float64, 0, n)
-	se.orderSc = make([]int32, n)
-	se.loadSc = make([]float64, se.workers)
-	se.planned = make([]int32, n)
 	se.plan = make([][]int32, se.workers)
 	for w := range se.plan {
 		se.plan[w] = make([]int32, 0, n)
 	}
-	se.cost = make([]float64, n)
-	se.prevFired = make([]uint64, n)
+	weights := make([]float64, n)
 	for g := range se.groups {
-		se.cost[g] = se.groups[g].weight
-		se.prevFired[g] = se.groups[g].eng.Fired()
+		weights[g] = se.groups[g].weight
 	}
-	if se.policy != nil {
-		weights := make([]float64, n)
-		for g := range se.groups {
-			weights[g] = se.groups[g].weight
-		}
-		se.placed = se.policy(weights, se.workers)
-		if len(se.placed) != n {
-			panic(fmt.Sprintf("sim: placement policy returned %d assignments for %d groups", len(se.placed), n))
-		}
-		for g, w := range se.placed {
-			if w < 0 || int(w) >= se.workers {
-				panic(fmt.Sprintf("sim: placement policy put group %d on worker %d of %d", g, w, se.workers))
-			}
-		}
+	policy := se.policy
+	if policy == nil {
+		policy = PlaceGroups
 	}
-	se.curWorker = make([]int32, n)
-	if se.placed != nil {
-		copy(se.curWorker, se.placed)
+	se.placed = policy(weights, se.workers)
+	if len(se.placed) != n {
+		panic(fmt.Sprintf("sim: placement policy returned %d assignments for %d groups", len(se.placed), n))
 	}
-	se.workerFired = make([]uint64, se.workers)
-	if se.affinity && se.workers > 1 && se.placed == nil && n <= affMaxGroups {
-		se.aff = make([]float64, n*n)
-		se.affDelta = make([]float64, n*n)
-		se.affIn = make([]bool, n*n)
-		se.affPairs = se.affPairs[:0]
-		se.affTouched = se.affTouched[:0]
-		se.parentSc = make([]int32, n)
-		se.cwSc = make([]float64, n)
-		se.rootsSc = make([]int32, n)
-		se.groupPos = make([]int32, n)
-		se.posStamp = make([]uint32, n)
-		se.posStampGen = 0
-	} else {
-		se.aff = nil
+	for g, w := range se.placed {
+		if w < 0 || int(w) >= se.workers {
+			panic(fmt.Sprintf("sim: placement policy put group %d on worker %d of %d", g, w, se.workers))
+		}
 	}
 }
 
-// buildPlan partitions the window's active groups across workers: a static
-// policy's assignment when installed, else greedy LPT bin-packing over the
-// measured costs.
+// buildPlan deals the window's active groups to their placed workers.
 func (se *ShardedEngine) buildPlan() {
 	for w := range se.plan {
 		se.plan[w] = se.plan[w][:0]
 	}
-	if se.placed != nil {
-		for _, g := range se.active {
-			w := se.placed[g]
-			se.plan[w] = append(se.plan[w], g)
-		}
-		return
-	}
-	k := len(se.active)
-	se.activeW = se.activeW[:0]
 	for _, g := range se.active {
-		se.activeW = append(se.activeW, se.cost[g])
-	}
-	if !se.planAffinity(k) {
-		placeLPT(se.activeW, se.orderSc[:k], se.loadSc, se.planned[:k])
-	}
-	for i, g := range se.active {
-		w := se.planned[i]
+		w := se.placed[g]
 		se.plan[w] = append(se.plan[w], g)
-		se.curWorker[g] = w
 	}
-}
-
-// planAffinity fills planned[:k] with the traffic-affinity assignment of the
-// active groups when the affinity matrix is live and has edges between them;
-// it reports false (leaving planned untouched) when weight-only LPT should
-// run instead. Edges are projected onto active-local indices via an
-// epoch-stamped position map, then packed by placeAffinity — allocation-free
-// past the first window at each size.
-func (se *ShardedEngine) planAffinity(k int) bool {
-	if se.aff == nil || len(se.affPairs) == 0 || k < 2 {
-		return false
-	}
-	se.posStampGen++
-	if se.posStampGen == 0 {
-		for i := range se.posStamp {
-			se.posStamp[i] = 0
-		}
-		se.posStampGen = 1
-	}
-	for i, g := range se.active {
-		se.posStamp[g] = se.posStampGen
-		se.groupPos[g] = int32(i)
-	}
-	se.edgeSc = se.edgeSc[:0]
-	n := len(se.groups)
-	for _, p := range se.affPairs {
-		a, b := int32(p/n), int32(p%n)
-		if se.posStamp[a] != se.posStampGen || se.posStamp[b] != se.posStampGen {
-			continue
-		}
-		se.edgeSc = append(se.edgeSc, AffinityEdge{A: se.groupPos[a], B: se.groupPos[b], W: se.aff[p]})
-	}
-	if len(se.edgeSc) == 0 {
-		return false
-	}
-	sortAffinityEdges(se.edgeSc)
-	placeAffinity(se.activeW, se.edgeSc, se.workers,
-		se.parentSc[:k], se.cwSc[:k], se.loadSc, se.rootsSc[:k], se.planned[:k])
-	return true
 }
 
 // runWindow executes the active groups up to deadline. With one active
@@ -797,23 +589,6 @@ func (se *ShardedEngine) runWindow(deadline Tick, multi bool) {
 	}
 }
 
-// refineCosts folds each group's fired-event delta for the closed window
-// into its cost EMA — the measured refinement the next window's plan packs.
-// With one worker or a static policy no plan ever reads the costs, so the
-// per-window Fired reads are skipped and MeasuredCost stays at the seed.
-func (se *ShardedEngine) refineCosts() {
-	if se.workers == 1 || se.placed != nil {
-		return
-	}
-	for g := range se.groups {
-		f := se.groups[g].eng.Fired()
-		delta := f - se.prevFired[g]
-		se.prevFired[g] = f
-		se.workerFired[se.curWorker[g]] += delta
-		se.cost[g] = 0.75*se.cost[g] + 0.25*float64(delta)
-	}
-}
-
 // stagedCount tallies messages staged in every outbox — the elision gate's
 // hard evidence (O(groups), no synchronization: workers have joined).
 func (se *ShardedEngine) stagedCount() int {
@@ -847,7 +622,7 @@ func (se *ShardedEngine) canElide() bool {
 }
 
 // elideWindow skips the barrier sequence (exchange, WindowEnd hooks,
-// barrier, cost refinement) for a window that staged nothing. It re-verifies
+// barrier) for a window that staged nothing. It re-verifies
 // every outbox is empty and panics with *ElisionError otherwise — eliding a
 // window with a pending cross-shard envelope would silently drop it.
 func (se *ShardedEngine) elideWindow() {
@@ -917,7 +692,6 @@ func (se *ShardedEngine) Run() Tick {
 			se.elideWindow()
 		} else {
 			se.windowsRun++
-			se.refineCosts()
 			se.exchange()
 			for _, c := range se.hooked {
 				c.WindowEnd(winEnd)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -70,9 +71,7 @@ func TestMailboxDeliveryOrder(t *testing.T) {
 	}
 }
 
-// pingWorkload runs four message-bouncing endpoints (one group each) under a
-// worker count and placement policy, and returns the per-endpoint delivery
-// logs. Used by the placement-invariance tests.
+// pingRecord is one delivery as its destination endpoint observed it.
 type pingRecord struct {
 	at  Tick
 	ep  int32
@@ -80,7 +79,11 @@ type pingRecord struct {
 	cnt int32
 }
 
-func pingWorkload(workers int, policy PlacementPolicy) [][]pingRecord {
+// pingWorkload runs four message-bouncing endpoints (one group each) under a
+// worker count and placement policy (nil for the default), and returns the
+// per-endpoint delivery logs and the run's SchedStats. Used by the placement
+// tests.
+func pingWorkload(workers int, policy PlacementPolicy) ([][]pingRecord, SchedStats) {
 	const eps = 4
 	se := NewSharded(workers, 50)
 	log := make([][]pingRecord, eps)
@@ -89,9 +92,7 @@ func pingWorkload(workers int, policy PlacementPolicy) [][]pingRecord {
 		se.NewGroup(float64(1 + e)) // deliberately uneven weights
 		ports[e] = se.NewPort()
 	}
-	if policy != nil {
-		se.SetPlacement(policy)
-	}
+	se.SetPlacement(policy)
 	se.SetDeliver(func(env Envelope) {
 		eng := se.Group(int(env.Endpoint))
 		log[env.Endpoint] = append(log[env.Endpoint],
@@ -119,7 +120,7 @@ func pingWorkload(workers int, policy PlacementPolicy) [][]pingRecord {
 		})
 	}
 	se.Run()
-	return log
+	return log, se.SchedStats()
 }
 
 // TestMailboxPlacementInvariance runs the same message-driven workload at
@@ -129,7 +130,7 @@ func pingWorkload(workers int, policy PlacementPolicy) [][]pingRecord {
 // is NOT part of the contract: components in different groups may interleave
 // freely within a window precisely because they share no state.)
 func TestMailboxPlacementInvariance(t *testing.T) {
-	base := pingWorkload(1, nil)
+	base, _ := pingWorkload(1, nil)
 	total := 0
 	for _, seq := range base {
 		total += len(seq)
@@ -152,7 +153,8 @@ func TestMailboxPlacementInvariance(t *testing.T) {
 		}
 	}
 	for _, n := range []int{2, 4} {
-		check("dynamic", pingWorkload(n, nil))
+		got, _ := pingWorkload(n, nil)
+		check("default", got)
 	}
 	policies := map[string]PlacementPolicy{
 		"all-on-one": func(weights []float64, _ int) []int32 { return make([]int32, len(weights)) },
@@ -173,7 +175,8 @@ func TestMailboxPlacementInvariance(t *testing.T) {
 		},
 	}
 	for name, p := range policies {
-		check(name, pingWorkload(3, p))
+		got, _ := pingWorkload(3, p)
+		check(name, got)
 	}
 }
 
@@ -280,107 +283,26 @@ func TestMailboxLookaheadViolationPanics(t *testing.T) {
 	se.Run()
 }
 
-// TestAffinityPackerCoLocatesChattyPairs drives the traffic-affinity packer
-// directly: with equal weights and one dominant edge, the chatty pair must
-// share a worker; a chain exceeding the cost-balance bound must split.
-func TestAffinityPackerCoLocatesChattyPairs(t *testing.T) {
-	weights := []float64{1, 1, 1, 1}
-	edges := []AffinityEdge{{A: 0, B: 3, W: 100}, {A: 1, B: 2, W: 1}}
-	out := PlaceGroupsWithAffinity(weights, edges, 2)
-	if out[0] != out[3] {
-		t.Errorf("chatty pair (0,3) split across workers %d/%d", out[0], out[3])
+// TestPlacementDecidedOnce pins the one placement: the default (nil) policy
+// is PlaceGroups, evaluated once over the static weights at the first Run,
+// so a multi-window run under it schedules exactly like a run under an
+// explicit PlaceGroups — same cross-shard envelopes, same fired share.
+func TestPlacementDecidedOnce(t *testing.T) {
+	_, def := pingWorkload(2, nil)
+	calls := 0
+	counted := func(weights []float64, workers int) []int32 {
+		calls++
+		return PlaceGroups(weights, workers)
 	}
-	if out[1] != out[2] {
-		t.Errorf("secondary pair (1,2) split across workers %d/%d", out[1], out[2])
+	_, got := pingWorkload(2, counted)
+	if calls != 1 {
+		t.Errorf("placement policy ran %d times in one run, want once", calls)
 	}
-	if out[0] == out[1] {
-		t.Errorf("both pairs on worker %d: balance bound ignored", out[0])
+	if def.WindowsRun < 2 || def.CrossShardEnvelopes == 0 {
+		t.Fatalf("workload too small to show placement: %+v", def)
 	}
-
-	// A merge that would blow the cost-balance bound (total/workers * slack)
-	// must be refused even for the heaviest edge.
-	heavy := []float64{10, 10, 1, 1}
-	out = PlaceGroupsWithAffinity(heavy, []AffinityEdge{{A: 0, B: 1, W: 1000}}, 2)
-	if out[0] == out[1] {
-		t.Errorf("over-bound pair co-located: 20 on one worker of a 22-total 2-worker split")
-	}
-}
-
-// affinityWorkload runs a 6-group workload with one deliberately chatty pair
-// (groups 0 and 5 exchange 10x the traffic of everything else) on 2 workers
-// and returns the final SchedStats plus the per-endpoint delivery logs.
-func affinityWorkload(affinity bool) (SchedStats, [][]pingRecord) {
-	const eps = 6
-	se := NewSharded(2, 50)
-	log := make([][]pingRecord, eps)
-	ports := make([]int32, eps)
-	for e := 0; e < eps; e++ {
-		se.NewGroup(1)
-		ports[e] = se.NewPort()
-	}
-	se.SetAffinityPlacement(affinity)
-	se.SetDeliver(func(env Envelope) {
-		eng := se.Group(int(env.Endpoint))
-		log[env.Endpoint] = append(log[env.Endpoint],
-			pingRecord{at: env.At, ep: env.Endpoint, u: env.P.U0, cnt: env.P.U1})
-		if env.P.U1 >= 200 {
-			return
-		}
-		src := env.Endpoint
-		var dst int32
-		if src == 0 || src == 5 {
-			dst = 5 - src // the chatty pair bounces between itself
-		} else {
-			dst = (src + 1) % eps
-		}
-		cnt := env.P.U1 + 1
-		eng.At(eng.Now()+3, func() {
-			se.Outbox(int(src)).Post(ports[src], dst, dst,
-				eng.Now()+60, Payload{U0: src, U1: cnt}, nil)
-		})
-	})
-	for e := int32(0); e < eps; e++ {
-		e := e
-		eng := se.Group(int(e))
-		dst := (e + 1) % eps
-		if e == 0 {
-			dst = 5
-		}
-		eng.At(Tick(e), func() {
-			se.Outbox(int(e)).Post(ports[e], dst, dst,
-				eng.Now()+60, Payload{U0: e, U1: 0}, nil)
-		})
-	}
-	se.Run()
-	return se.SchedStats(), log
-}
-
-// TestAffinityPlacementCutsCrossShardTraffic compares the measured-affinity
-// packer against weight-only LPT on a workload with one dominant group pair:
-// the affinity run must observe the same per-endpoint message sequences
-// (placement is pure scheduling) while routing strictly fewer envelopes
-// across workers.
-func TestAffinityPlacementCutsCrossShardTraffic(t *testing.T) {
-	weight, baseLog := affinityWorkload(false)
-	aff, affLog := affinityWorkload(true)
-	for ep := range baseLog {
-		if len(affLog[ep]) != len(baseLog[ep]) {
-			t.Fatalf("endpoint %d saw %d messages under affinity, %d under weight-only",
-				ep, len(affLog[ep]), len(baseLog[ep]))
-		}
-		for i := range baseLog[ep] {
-			if affLog[ep][i] != baseLog[ep][i] {
-				t.Fatalf("endpoint %d message %d diverged: %+v vs %+v",
-					ep, i, affLog[ep][i], baseLog[ep][i])
-			}
-		}
-	}
-	if aff.Envelopes != weight.Envelopes {
-		t.Fatalf("envelope totals differ: affinity %d, weight-only %d", aff.Envelopes, weight.Envelopes)
-	}
-	if aff.CrossShardEnvelopes >= weight.CrossShardEnvelopes {
-		t.Errorf("affinity cross-shard envelopes %d not below weight-only %d (of %d total)",
-			aff.CrossShardEnvelopes, weight.CrossShardEnvelopes, weight.Envelopes)
+	if !reflect.DeepEqual(def, got) {
+		t.Errorf("default placement scheduled unlike PlaceGroups:\n default  %+v\n explicit %+v", def, got)
 	}
 }
 
