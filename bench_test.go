@@ -25,7 +25,6 @@ import (
 	"pifsrec/internal/dram"
 	"pifsrec/internal/engine"
 	"pifsrec/internal/harness"
-	"pifsrec/internal/isa"
 	"pifsrec/internal/osb"
 	"pifsrec/internal/pifs"
 	"pifsrec/internal/sim"
@@ -356,23 +355,6 @@ func BenchmarkDRAMDeepQueue(b *testing.B) {
 			c.SubmitRange(a, 64, false, 0, done, 0)
 		}
 		eng.Run()
-	}
-}
-
-func BenchmarkISAEncodeDecode(b *testing.B) {
-	in, err := isa.NewDataFetch(7, 0x1000, 3, 12, 64, 1.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		slot, err := in.Encode()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := isa.Decode(slot); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

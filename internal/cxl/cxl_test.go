@@ -11,7 +11,6 @@ import (
 // sink is a message endpoint that records every payload delivered to it
 // with its delivery tick.
 type sink struct {
-	sim.NoWindowHooks
 	group int32
 	got   []delivery
 }
@@ -32,8 +31,8 @@ func (k *sink) HandleMsg(env sim.Envelope) {
 // left for the component under test (endpoint == group, as in the engine).
 func newRig(window sim.Tick) (*sim.ShardedEngine, *sink) {
 	se := sim.NewSharded(1, window)
-	se.NewGroup(0)
-	se.NewGroup(0)
+	se.NewGroup()
+	se.NewGroup()
 	k := &sink{}
 	se.Register(k)
 	return se, k

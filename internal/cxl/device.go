@@ -12,8 +12,6 @@ import (
 // adds the CXL controller's share of the access penalty on top of raw DRAM
 // service time.
 type Type3Device struct {
-	sim.NoWindowHooks
-
 	// ID is the device index within its pool; PortID is the fabric port the
 	// device is bound to (its cacheID when recognized by the FM endpoint).
 	ID     int
@@ -74,7 +72,7 @@ type DeviceConfig struct {
 	// when zero is half the CXL access penalty (the other half is paid in
 	// the link path's port overheads).
 	CtrlNS sim.Tick
-	// Group is the placement group the device (and its DRAM channel banks)
+	// Group is the placement group the device (and its DRAM controller)
 	// lives on in a sharded simulation.
 	Group int32
 }
@@ -85,13 +83,11 @@ func NewType3(eng *sim.Engine, cfg DeviceConfig) *Type3Device {
 	if ctrl == 0 {
 		ctrl = AccessPenaltyNS / 2
 	}
-	ctl := dram.NewController(eng, cfg.Geometry, cfg.Timing)
-	ctl.SetGroup(cfg.Group)
 	return &Type3Device{
 		ID:     cfg.ID,
 		PortID: cfg.PortID,
 		eng:    eng,
-		ctl:    ctl,
+		ctl:    dram.NewController(eng, cfg.Geometry, cfg.Timing),
 		ctrlNS: ctrl,
 		group:  cfg.Group,
 	}
@@ -100,15 +96,10 @@ func NewType3(eng *sim.Engine, cfg DeviceConfig) *Type3Device {
 // ComponentGroup returns the device's placement group (sim.Component).
 func (d *Type3Device) ComponentGroup() int32 { return d.group }
 
-// CostWeight is the device front-end's static placement weight. The DRAM
-// channel banks carry their own weights (registered as aux components), so
-// a device group's seed is front-end + banks — the cost-balanced
-// bin-packing sees memory nodes as the heavy groups they are.
-func (d *Type3Device) CostWeight() float64 { return 1 }
-
-// Banks exposes the device's DRAM channel banks as placement-cost
-// components (registered aux so per-bank load is attributable).
-func (d *Type3Device) Banks() []*dram.ChannelBank { return d.ctl.Banks() }
+// CostWeight is the device's static placement weight: the front-end plus
+// its DRAM controller's channels, so the cost-balanced bin-packing sees
+// memory nodes as the heavy groups they are.
+func (d *Type3Device) CostWeight() float64 { return 1 + d.ctl.CostWeight() }
 
 // Capacity returns the device's byte capacity.
 func (d *Type3Device) Capacity() int64 { return d.ctl.Geometry().Capacity() }

@@ -33,6 +33,10 @@ const (
 	// fabric switches in a scaled-out fabric: "we add an extra 100 ns
 	// latency when data needs to be transferred between them" (§VI-C4).
 	SwitchForwardNS = 100
+
+	// SlotBytes is the CXL slot size every instruction occupies on a link:
+	// "the CXL standard's slot size limitation of 16 bytes" (§IV-A3).
+	SlotBytes = 16
 )
 
 // Link is a unidirectional serialized transfer pipe with finite bandwidth

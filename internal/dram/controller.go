@@ -43,22 +43,19 @@ func (s Stats) MeanQueueDelayNS() float64 {
 
 // Controller models one memory node: a set of channels, each with its own
 // bank array, FR-FCFS scheduler, request arena, and statistics. Every
-// channel runs on the controller's engine; each also surfaces as a separate
-// placement-cost component (ChannelBank), so a node's weight tracks its
-// channel count. It is not safe for concurrent use; all interaction happens
-// on the owning group's engine.
+// channel runs on the controller's engine, and the component that owns the
+// controller folds its CostWeight into its own, so a node's placement weight
+// tracks its channel count. It is not safe for concurrent use; all
+// interaction happens on the owning group's engine.
 type Controller struct {
 	eng   *sim.Engine
 	geo   Geometry
 	tim   Timing
 	chans []*channel
-	group int32
 
 	// Pooled batch slots (a batch may span channels); recycle via free list.
 	batches     []batchState
 	freeBatches []int32
-
-	banks []*ChannelBank
 }
 
 // NewController builds a controller. It panics on invalid configuration:
@@ -74,7 +71,7 @@ func NewController(eng *sim.Engine, geo Geometry, tim Timing) *Controller {
 	c := &Controller{eng: eng, geo: geo, tim: tim}
 	c.chans = make([]*channel, geo.Channels)
 	for i := range c.chans {
-		c.chans[i] = newChannel(c, i)
+		c.chans[i] = newChannel(c)
 	}
 	return c
 }
@@ -99,53 +96,16 @@ func (c *Controller) Stats() Stats {
 	return s
 }
 
-// SetGroup records the placement group the controller's channel banks
-// report (sim.Component); call at construction, before Banks.
-func (c *Controller) SetGroup(g int32) { c.group = g }
-
-// Banks returns the controller's channels as placement-cost components, one
-// per channel bank, built on first use.
-func (c *Controller) Banks() []*ChannelBank {
-	if c.banks == nil {
-		c.banks = make([]*ChannelBank, len(c.chans))
-		for i, ch := range c.chans {
-			c.banks[i] = &ChannelBank{ch: ch}
-		}
+// CostWeight is the controller's static placement weight: each channel's
+// peak bandwidth in GB/s over 16, so a node's weight grows with its channel
+// count and channel speed.
+func (c *Controller) CostWeight() float64 {
+	w := 0.0
+	for range c.chans {
+		w += c.tim.PeakBandwidthGBs() / 16
 	}
-	return c.banks
+	return w
 }
-
-// ChannelBank exposes one DRAM channel as a sim.Component for the
-// cost-balanced placement: banks never receive mailbox messages (the
-// channel loop is driven by its owner through shared state, so a bank
-// always co-locates with its controller's group), but each contributes its
-// static weight to the group seed and reports its measured service load, so
-// the bin-packing sees a 12-channel socket as three times the cost of a
-// 4-channel expander instead of dealing groups round-robin.
-type ChannelBank struct {
-	sim.NoWindowHooks
-	ch *channel
-}
-
-// Channel returns the bank's channel index within its controller.
-func (b *ChannelBank) Channel() int { return b.ch.idx }
-
-// ComponentGroup returns the owning controller's placement group.
-func (b *ChannelBank) ComponentGroup() int32 { return b.ch.ctl.group }
-
-// CostWeight scales with the channel's peak bandwidth, so DDR5 banks weigh
-// more than DDR4 banks and a group's seed tracks its real service capacity.
-func (b *ChannelBank) CostWeight() float64 {
-	return b.ch.ctl.tim.PeakBandwidthGBs() / 16
-}
-
-// HandleMsg panics: banks are cost components, not endpoints.
-func (b *ChannelBank) HandleMsg(env sim.Envelope) {
-	panic(fmt.Sprintf("dram: channel bank %d got message kind %#x", b.ch.idx, env.P.Kind))
-}
-
-// Stats returns this bank's own counters.
-func (b *ChannelBank) Stats() Stats { return b.ch.stats }
 
 // ArenaSize returns the total request arena capacity across channels (for
 // reuse/leak tests).
@@ -223,10 +183,9 @@ type bank struct {
 // channel is one self-contained bank loop: its own request arena, queue,
 // scheduler state, and statistics. The only controller-level state it
 // touches is the shared batch table (a batch's lines may span channels), so
-// a bank always runs in its controller's placement group.
+// a channel always runs in its controller's placement group.
 type channel struct {
 	ctl     *Controller
-	idx     int
 	banks   []bank
 	rankAct []sim.Tick // per-rank earliest next activate (tRRD)
 	busFree sim.Tick
@@ -251,11 +210,10 @@ type channel struct {
 	refi, rfc                                      sim.Tick
 }
 
-func newChannel(c *Controller, idx int) *channel {
+func newChannel(c *Controller) *channel {
 	t := c.tim
 	ch := &channel{
 		ctl:     c,
-		idx:     idx,
 		banks:   make([]bank, c.geo.TotalBanks()),
 		rankAct: make([]sim.Tick, c.geo.Ranks),
 		cl:      t.ns(t.CL), rcd: t.ns(t.RCD), rp: t.ns(t.RP),

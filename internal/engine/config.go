@@ -79,12 +79,6 @@ type Config struct {
 	// are not distributable and run on the coordinator.
 	Placement sim.PlacementPolicy `json:"-"`
 
-	// DisableBarrierElision turns off empty-window barrier elision (the
-	// pay-as-you-go synchronization fast path). Elision is pure scheduling
-	// — results are byte-identical either way — so the flag exists for
-	// A/B measurement and the invariance tests, not correctness.
-	DisableBarrierElision bool
-
 	// LocalFraction is the share of the embedding footprint that fits in
 	// local DRAM (stand-in for the paper's fixed 128 GB against multi-TB
 	// models). Default 0.125.

@@ -38,9 +38,9 @@ const (
 
 // system is one assembled simulation, sharded for conservative-time-window
 // execution over the sim Component model. Components are partitioned into
-// placement groups — each host with its local DRAM channel banks and
-// caches, each switch with its core and buffer, each CXL device with its
-// controller and banks — and every group owns a private engine the sharded
+// placement groups — each host with its local DRAM controller and caches,
+// each switch with its core and buffer, each CXL device with its DRAM
+// controller — and every group owns a private engine the sharded
 // coordinator places onto workers once, by cost-balanced bin-packing over
 // the static component weights. Groups interact only through value-typed
 // mailbox messages whose latency is at least the window width, so a
@@ -50,8 +50,8 @@ const (
 //
 // Shared state is read-mostly by construction: the layout and trace are
 // immutable, and the tier manager's placement only changes at window
-// barriers (accesses recorded during a window are merged per host, in host
-// order, before any epoch runs). Per-host mutable bookkeeping
+// barriers (system.barrier merges the accesses recorded during a window per
+// host, in host order, before any epoch runs). Per-host mutable bookkeeping
 // (migrationWaitNS, bagsDone, access records) is merged at barriers or at
 // collect time, never touched across groups mid-window.
 type system struct {
@@ -104,8 +104,8 @@ func shardCount(cfg Config) int {
 }
 
 // Endpoint ids double as placement-group ids: hosts, then switches, then
-// devices, each component alone in its group (its DRAM banks ride along as
-// aux cost components). Registration order must match.
+// devices, each component alone in its group (its DRAM controller's weight
+// folds into its own). Registration order must match.
 func (s *system) hostEndpoint(h int) int32   { return int32(h) }
 func (s *system) switchEndpoint(w int) int32 { return int32(len(s.hosts) + w) }
 func (s *system) deviceEndpoint(d int) int32 {
@@ -215,39 +215,16 @@ type host struct {
 // ComponentGroup returns the host's placement group (sim.Component).
 func (h *host) ComponentGroup() int32 { return int32(h.id) }
 
-// CostWeight is the host front-end's static placement weight (bag
-// classification, accumulate datapath, snoop loop); the socket's DRAM
-// channel banks add theirs as aux components, making hosts the heaviest
-// groups — which is what the cost-balanced placement needs to see.
+// CostWeight is the host's static placement weight: the front-end (bag
+// classification, accumulate datapath, snoop loop) plus the socket's DRAM
+// channels, making hosts the heaviest groups — which is what the
+// cost-balanced placement needs to see.
 func (h *host) CostWeight() float64 {
 	w := 2.0
 	if h.dimmCache != nil {
 		w++
 	}
-	return w
-}
-
-// UsesWindowHooks opts the host into barrier hooks: WindowEnd does the
-// access-record merge.
-func (h *host) UsesWindowHooks() bool { return true }
-
-// WindowStart is a no-op (sim.Component).
-func (h *host) WindowStart(sim.Tick) {}
-
-// BarrierIdle reports true while the WindowEnd merge would be a no-op — no
-// access records buffered — making the host eligible for barrier elision
-// (sim.BarrierIdler).
-func (h *host) BarrierIdle() bool { return len(h.recAddrs) == 0 }
-
-// WindowEnd merges this host's buffered access records into the tier
-// manager. Hooks run single-threaded in registration (host id) order at
-// every barrier, so the merge order — and therefore every page-management
-// decision — is identical at any worker count and placement.
-func (h *host) WindowEnd(sim.Tick) {
-	for _, a := range h.recAddrs {
-		h.sys.mgr.Record(a)
-	}
-	h.recAddrs = h.recAddrs[:0]
+	return w + h.localDRAM.CostWeight()
 }
 
 // HandleMsg consumes switch->host messages (sim.Component).
@@ -376,7 +353,7 @@ func build(cfg Config) (*system, error) {
 	// One placement group per host, switch, and device, in endpoint order;
 	// weights accrue as components register.
 	for g := 0; g < cfg.Hosts+cfg.Switches+cfg.Devices; g++ {
-		s.se.NewGroup(0)
+		s.se.NewGroup()
 	}
 	s.vecBytes = cfg.Model.RowBytes()
 	s.layout = dlrm.NewLayout(cfg.Model, 0)
@@ -472,15 +449,13 @@ func build(cfg Config) (*system, error) {
 	}
 	for h := 0; h < cfg.Hosts; h++ {
 		hostEng := s.se.Group(h)
-		localDRAM := dram.NewController(hostEng, geo, dram.DDR5_4800())
-		localDRAM.SetGroup(int32(h))
 		hh := &host{
 			sys:       s,
 			eng:       hostEng,
 			id:        h,
 			spid:      uint16(1 + h),
 			sw:        s.switches[h%len(s.switches)],
-			localDRAM: localDRAM,
+			localDRAM: dram.NewController(hostEng, geo, dram.DDR5_4800()),
 		}
 		if cfg.Scheme == RecNMP {
 			hh.dimmCache = osb.New(4<<20, osb.HTR)
@@ -553,38 +528,36 @@ func build(cfg Config) (*system, error) {
 
 	s.register()
 	s.se.SetBarrier(s.barrier)
-	if !cfg.DisableBarrierElision {
-		// The barrier only does work when completed bags owe a
-		// page-management epoch; between epochs it is skippable, which —
-		// with the hosts' WindowEnd merge idling on empty record buffers —
-		// lets the engine elide the whole barrier sequence on quiet windows.
-		s.se.SetBarrierIdle(s.barrierIdle)
-	}
+	// The barrier only does work when a host buffered access records or
+	// completed bags owe a page-management epoch; otherwise it is
+	// skippable, which lets the engine elide the whole barrier sequence on
+	// quiet windows.
+	s.se.SetBarrierIdle(s.barrierIdle)
 	return s, nil
 }
 
-// barrierIdle reports whether the next barrier would be a no-op: no
-// page-management epoch owed by the completed-bag count.
+// barrierIdle reports whether the next barrier would be a no-op: no host
+// buffered access records and no page-management epoch is owed by the
+// completed-bag count.
 func (s *system) barrierIdle() bool {
 	total := 0
 	for _, h := range s.hosts {
+		if len(h.recAddrs) > 0 {
+			return false
+		}
 		total += h.bagsDone
 	}
 	return s.epochsDone >= total/s.cfg.EpochBags
 }
 
 // register adds every component to the sharded engine in endpoint order —
-// hosts, switches, devices — and their DRAM channel banks as aux cost
-// components, so mailbox routing and the placement cost model share one
-// registry. The order fixes endpoint ids; it must match the endpoint
-// helpers and never depend on worker count or placement.
+// hosts, switches, devices — so mailbox routing and the placement cost
+// model share one registry. The order fixes endpoint ids; it must match the
+// endpoint helpers and never depend on worker count or placement.
 func (s *system) register() {
 	for _, h := range s.hosts {
 		if ep := s.se.Register(h); ep != s.hostEndpoint(h.id) {
 			panic(fmt.Sprintf("engine: host %d registered as endpoint %d", h.id, ep))
-		}
-		for _, b := range h.localDRAM.Banks() {
-			s.se.RegisterAux(b)
 		}
 	}
 	for w, sw := range s.switches {
@@ -595,9 +568,6 @@ func (s *system) register() {
 	for d, dev := range s.devs {
 		if ep := s.se.Register(dev); ep != s.deviceEndpoint(d) {
 			panic(fmt.Sprintf("engine: device %d registered as endpoint %d", d, ep))
-		}
-		for _, b := range dev.Banks() {
-			s.se.RegisterAux(b)
 		}
 	}
 }
@@ -729,13 +699,19 @@ func nodeLocalAddr(addr uint64, capacity int64) uint64 {
 	return (h%pages)*tier.PageBytes + off
 }
 
-// barrier runs between windows, after every host's WindowEnd hook has
-// merged its access records in host order: run any page-management epochs
-// the completed-bag count owes. Single-goroutine; every worker has joined.
+// barrier runs between windows: merge every host's buffered access records
+// into the tier manager in host-id order, then run any page-management
+// epochs the completed-bag count owes. Single-goroutine; every worker has
+// joined, so the merge order — and therefore every page-management decision
+// — is identical at any worker count and placement.
 func (s *system) barrier(at sim.Tick) {
 	s.barrierNow = at
 	total := 0
 	for _, h := range s.hosts {
+		for _, a := range h.recAddrs {
+			s.mgr.Record(a)
+		}
+		h.recAddrs = h.recAddrs[:0]
 		total += h.bagsDone
 	}
 	for s.epochsDone < total/s.cfg.EpochBags {
@@ -753,6 +729,12 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	return s.run()
+}
+
+// run drives the built system until every host drains and collects the
+// result.
+func (s *system) run() (Result, error) {
 	for i := 0; i < s.se.Groups(); i++ {
 		s.se.Group(i).SetEventLimit(500_000_000)
 	}

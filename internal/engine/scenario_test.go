@@ -130,8 +130,11 @@ func TestScenarioDeterminismProperty(t *testing.T) {
 				for _, noElide := range []bool{false, true} {
 					c := base
 					c.Shards = shards
-					c.DisableBarrierElision = noElide
-					got, err := Run(c)
+					run := Run
+					if noElide {
+						run = runNoElide
+					}
+					got, err := run(c)
 					if err != nil {
 						t.Fatalf("shards=%d elide-off=%v: %v", shards, noElide, err)
 					}

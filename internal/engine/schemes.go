@@ -3,8 +3,8 @@ package engine
 import (
 	"fmt"
 
+	"pifsrec/internal/cxl"
 	"pifsrec/internal/fabric"
-	"pifsrec/internal/isa"
 	"pifsrec/internal/pifs"
 	"pifsrec/internal/sim"
 	"pifsrec/internal/tier"
@@ -141,7 +141,7 @@ func (s *system) hostSideRemote(h *host, tag uint8, sc *bagScratch) {
 	rec.remoteRows = int32(sc.remote)
 	for swIdx := range sc.bySwitch {
 		for _, addr := range sc.bySwitch[swIdx] {
-			h.down.SendMsg(isa.SlotBytes, sim.Payload{
+			h.down.SendMsg(cxl.SlotBytes, sim.Payload{
 				Kind: fabric.KindBypassRow, A: addr, U0: int32(h.id), Tag: tag,
 			}, nil)
 		}
@@ -170,7 +170,7 @@ func (s *system) inSwitchRemote(h *host, tag uint8, sc *bagScratch) {
 		}
 	}
 
-	streamBytes := isa.SlotBytes * (1 + len(localFetches))
+	streamBytes := cxl.SlotBytes * (1 + len(localFetches))
 	h.down.SendMsg(streamBytes, sim.Payload{
 		Kind: fabric.KindPIFSStream,
 		B:    fabric.PackKey(key),
@@ -186,7 +186,7 @@ func (s *system) inSwitchRemote(h *host, tag uint8, sc *bagScratch) {
 		// Sub-cluster identity: high bit set, host and peer switch packed
 		// into the 12-bit port-id space.
 		sub := pifs.ClusterKey{SPID: 0x800 | h.spid<<5 | uint16(swIdx), SumTag: tag}
-		h.down.SendMsg(len(sc.bySwitch[swIdx])*isa.SlotBytes, sim.Payload{
+		h.down.SendMsg(len(sc.bySwitch[swIdx])*cxl.SlotBytes, sim.Payload{
 			Kind: fabric.KindPeerBatch,
 			A:    fabric.PackKey(sub),
 			B:    fabric.PackKey(key),

@@ -27,6 +27,22 @@ func noSched(r Result) Result {
 	return r
 }
 
+// runNoElide is Run with barrier elision off: it builds the system, drops
+// the barrier's idle predicate so no window can be proven skippable, and
+// runs it. Elision is pure scheduling, so the result must equal Run's in
+// everything but Sched.
+func runNoElide(cfg Config) (Result, error) {
+	if err := cfg.fillDefaults(); err != nil {
+		return Result{}, err
+	}
+	s, err := build(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	s.se.SetBarrierIdle(nil)
+	return s.run()
+}
+
 // TestShardCountInvariantMatrix runs the full scheme x trace-kind matrix at
 // every shard count and requires Results identical to the 1-shard engine.
 func TestShardCountInvariantMatrix(t *testing.T) {
@@ -177,8 +193,11 @@ func TestPlacementInvariantProperty(t *testing.T) {
 			for _, noElide := range []bool{false, true} {
 				variant := cfg
 				variant.Shards = n
-				variant.DisableBarrierElision = noElide
-				r, err := Run(variant)
+				run := Run
+				if noElide {
+					run = runNoElide
+				}
+				r, err := run(variant)
 				if err != nil {
 					t.Fatalf("case %d shards=%d elide=%v: %v", ci, n, !noElide, err)
 				}
@@ -216,9 +235,7 @@ func TestBarrierElisionFiresAndStaysInvisible(t *testing.T) {
 	if elided.Sched.WindowsElided == 0 {
 		t.Errorf("RecNMP run elided no windows: %+v", elided.Sched)
 	}
-	off := cfg
-	off.DisableBarrierElision = true
-	full, err := Run(off)
+	full, err := runNoElide(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +251,9 @@ func TestBarrierElisionFiresAndStaysInvisible(t *testing.T) {
 }
 
 // TestCostBalancedPlacementSeesWeights checks the cost model's plumbing:
-// group weights accrue from components and their DRAM channel banks, so a
-// host group (12 DDR5 banks) weighs more than a device group (4 DDR4 banks).
+// group weights accrue from components, whose weights include their DRAM
+// controllers' channels, so a host group (12 DDR5 channels) weighs more
+// than a device group (4 DDR4 channels).
 func TestCostBalancedPlacementSeesWeights(t *testing.T) {
 	m := dlrm.RMC1().Scaled(8)
 	m.Tables = 4
@@ -258,7 +276,7 @@ func TestCostBalancedPlacementSeesWeights(t *testing.T) {
 	swW := s.se.GroupWeight(1)
 	devW := s.se.GroupWeight(2)
 	if hostW <= devW {
-		t.Errorf("host group weight %.1f not above device group %.1f (12 DDR5 banks vs 4 DDR4)", hostW, devW)
+		t.Errorf("host group weight %.1f not above device group %.1f (12 DDR5 channels vs 4 DDR4)", hostW, devW)
 	}
 	if swW <= 0 || devW <= 0 {
 		t.Errorf("non-positive group weights: switch %.1f device %.1f", swW, devW)

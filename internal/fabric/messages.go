@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"pifsrec/internal/cxl"
-	"pifsrec/internal/isa"
 	"pifsrec/internal/pifs"
 	"pifsrec/internal/sim"
 )
@@ -253,7 +252,7 @@ func (s *Switch) HandleMsg(env sim.Envelope) {
 		}
 		wait := m.alloc()
 		m.recs[wait] = xfer{kind: xfFwdWait, key: UnpackKey(env.P.B), remaining: remaining}
-		m.net.PeerReq[peer].SendMsg(len(env.Addrs)*isa.SlotBytes,
+		m.net.PeerReq[peer].SendMsg(len(env.Addrs)*cxl.SlotBytes,
 			sim.Payload{Kind: KindFwdFetch, A: env.P.A, U0: int32(s.cfg.ID), U1: wait}, env.Addrs)
 
 	case KindFwdFetch:
@@ -341,7 +340,7 @@ func (s *Switch) msgRoute(tok int32) {
 		u0 = tok<<8 | int32(m.gens[tok])
 		r.tmo = s.eng.AtCall(s.eng.Now()+f.TimeoutNS, m.fnTimeout, tok)
 	}
-	m.net.DevDown[dev].SendMsg(isa.SlotBytes,
+	m.net.DevDown[dev].SendMsg(cxl.SlotBytes,
 		sim.Payload{Kind: cxl.KindDevRead, A: devAddr, U0: u0}, nil)
 }
 
@@ -376,7 +375,7 @@ func (s *Switch) abortRead(tok int32) {
 	case xfBypassRow:
 		host, tag := r.host, r.tag
 		m.release(tok)
-		m.net.HostUp[host].SendMsg(isa.SlotBytes,
+		m.net.HostUp[host].SendMsg(cxl.SlotBytes,
 			sim.Payload{Kind: KindRowData, Tag: tag, Flag: 1}, nil)
 	case xfFetch:
 		key := r.key
@@ -386,7 +385,7 @@ func (s *Switch) abortRead(tok int32) {
 	case xfRawReply:
 		dst, srcTok := r.dstSw, r.srcTok
 		m.release(tok)
-		m.net.PeerRsp[dst].SendMsg(isa.SlotBytes,
+		m.net.PeerRsp[dst].SendMsg(cxl.SlotBytes,
 			sim.Payload{Kind: KindFwdReply, U1: srcTok, Flag: 1}, nil)
 	default:
 		panic(fmt.Sprintf("fabric: abort for record kind %d", r.kind))

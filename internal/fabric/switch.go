@@ -80,8 +80,6 @@ type Stats struct {
 
 // Switch is one fabric switch instance.
 type Switch struct {
-	sim.NoWindowHooks
-
 	eng *sim.Engine
 	cfg Config
 

@@ -5,7 +5,6 @@ import (
 
 	"pifsrec/internal/cxl"
 	"pifsrec/internal/dram"
-	"pifsrec/internal/isa"
 	"pifsrec/internal/osb"
 	"pifsrec/internal/pifs"
 	"pifsrec/internal/sim"
@@ -25,7 +24,6 @@ func pifsCfg() Config {
 // host stands in for the host socket: the endpoint every switch's HostUp
 // link delivers to. It records each payload with its delivery tick.
 type host struct {
-	sim.NoWindowHooks
 	got []delivery
 }
 
@@ -61,7 +59,7 @@ func newRig(devs int, cfgs ...Config) *rig {
 	S := len(cfgs)
 	r := &rig{se: sim.NewSharded(1, cxl.PortOverheadNS), host: &host{}}
 	for g := 0; g < 1+S+S*devs; g++ {
-		r.se.NewGroup(0)
+		r.se.NewGroup()
 	}
 	swGroup := func(w int) int32 { return int32(1 + w) }
 	devGroup := func(w, d int) int32 { return int32(1 + S + w*devs + d) }
@@ -157,13 +155,13 @@ func (r *rig) run() sim.Tick {
 
 // bypass sends switch w a standard MemRd for addr (KindBypassRow).
 func (r *rig) bypass(w int, addr uint64, tag uint8) {
-	r.down[w].SendMsg(isa.SlotBytes, sim.Payload{Kind: KindBypassRow, A: addr, Tag: tag}, nil)
+	r.down[w].SendMsg(cxl.SlotBytes, sim.Payload{Kind: KindBypassRow, A: addr, Tag: tag}, nil)
 }
 
 // stream sends switch w a PIFS instruction stream: the Configuration for key
 // expecting candidates vectors, then one DataFetch per address.
 func (r *rig) stream(w int, key pifs.ClusterKey, candidates int, tag uint8, addrs ...uint64) {
-	r.down[w].SendMsg(isa.SlotBytes*(1+len(addrs)), sim.Payload{
+	r.down[w].SendMsg(cxl.SlotBytes*(1+len(addrs)), sim.Payload{
 		Kind: KindPIFSStream, B: PackKey(key), U1: int32(candidates), Tag: tag,
 	}, addrs)
 }
@@ -171,7 +169,7 @@ func (r *rig) stream(w int, key pifs.ClusterKey, candidates int, tag uint8, addr
 // peerBatch asks switch w to forward addrs to switch peer, accumulated there
 // under sub and folded into key on return.
 func (r *rig) peerBatch(w, peer int, sub, key pifs.ClusterKey, addrs ...uint64) {
-	r.down[w].SendMsg(isa.SlotBytes*len(addrs), sim.Payload{
+	r.down[w].SendMsg(cxl.SlotBytes*len(addrs), sim.Payload{
 		Kind: KindPeerBatch, A: PackKey(sub), B: PackKey(key), U0: int32(peer),
 	}, addrs)
 }

@@ -45,9 +45,9 @@ const (
 // EncodeJob serializes a job for the distribution wire. Jobs carrying
 // process-local state with no wire form — an engine config with a custom
 // Placement policy, or no trace — are not distributable and return an
-// error; the coordinator runs those locally. Pure-scheduling fields
-// (Shards, DisableBarrierElision) are stripped: the worker runs the job at
-// its defaults, and results are byte-identical regardless.
+// error; the coordinator runs those locally. The pure-scheduling Shards
+// field is stripped: the worker runs the job at its default, and results are
+// byte-identical regardless.
 func EncodeJob(j Job) ([]byte, error) {
 	b := make([]byte, 0, 1024)
 	b = append(b, jobWireMagic[:]...)
@@ -64,7 +64,6 @@ func EncodeJob(j Job) ([]byte, error) {
 		tr := cfg.Trace
 		cfg.Trace = nil
 		cfg.Shards = 0
-		cfg.DisableBarrierElision = false
 		cj, err := json.Marshal(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("harness: encoding job config: %w", err)

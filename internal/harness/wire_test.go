@@ -35,20 +35,17 @@ func TestJobWireRoundTrip(t *testing.T) {
 			if got != want {
 				t.Errorf("%s job %d: decoded job hashes %s, want %s", id, i, got.Hex()[:12], want.Hex()[:12])
 			}
-			if dec.Engine != nil {
-				if dec.Engine.Shards != 0 || dec.Engine.DisableBarrierElision {
-					t.Errorf("%s job %d: scheduling fields survived the wire: %+v", id, i,
-						[]any{dec.Engine.Shards, dec.Engine.DisableBarrierElision})
-				}
+			if dec.Engine != nil && dec.Engine.Shards != 0 {
+				t.Errorf("%s job %d: Shards %d survived the wire", id, i, dec.Engine.Shards)
 			}
 		}
 	}
 }
 
-// TestJobWireSchedulingStripped asserts jobs differing only in pure
-// scheduling knobs encode to identical wire bytes: the worker picks its own
-// schedule, so shipping the coordinator's would be wasted (and misleading)
-// bytes.
+// TestJobWireSchedulingStripped asserts jobs differing only in the pure
+// scheduling Shards field encode to identical wire bytes: the worker picks
+// its own schedule, so shipping the coordinator's would be wasted (and
+// misleading) bytes.
 func TestJobWireSchedulingStripped(t *testing.T) {
 	base := Jobs("fig12a")[0]
 	if base.Engine == nil {
@@ -60,13 +57,12 @@ func TestJobWireSchedulingStripped(t *testing.T) {
 	}
 	cfg := *base.Engine
 	cfg.Shards = 3
-	cfg.DisableBarrierElision = true
 	sched, err := EncodeJob(Job{Engine: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain, sched) {
-		t.Error("scheduling knobs changed the job wire bytes")
+		t.Error("Shards changed the job wire bytes")
 	}
 }
 

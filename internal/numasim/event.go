@@ -331,11 +331,11 @@ func RunEvent(p Platform, w Workload, place Placement) (Result, error) {
 	// Groups: generator, daemon, local node, slow node, hop — one component
 	// each, fixed construction order.
 	se := sim.NewSharded(1, window)
-	genG := se.NewGroup(0)
-	daemonG := se.NewGroup(0)
-	localG := se.NewGroup(0)
-	slowG := se.NewGroup(0)
-	hopG := se.NewGroup(0)
+	genG := se.NewGroup()
+	daemonG := se.NewGroup()
+	localG := se.NewGroup()
+	slowG := se.NewGroup()
+	hopG := se.NewGroup()
 
 	daemon := &migrationDaemon{
 		ComponentBase: sim.ComponentBase{Group: daemonG, Weight: 1},

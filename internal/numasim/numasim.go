@@ -268,28 +268,6 @@ func Run(p Platform, w Workload, place Placement) (Result, error) {
 	return res, nil
 }
 
-// NormalizedSeries runs a placement across table sizes and returns app
-// bandwidth normalized to the all-local configuration at each size — the
-// y-axis of Fig 5.
-func NormalizedSeries(p Platform, threading Threading, embDim int, tableSizes []int64, place Placement) ([]float64, error) {
-	out := make([]float64, len(tableSizes))
-	for i, ts := range tableSizes {
-		w := DefaultWorkload(threading, embDim, ts)
-		base, err := Run(p, w, AllLocal)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Run(p, w, place)
-		if err != nil {
-			return nil, err
-		}
-		if base.AppGBs > 0 {
-			out[i] = r.AppGBs / base.AppGBs
-		}
-	}
-	return out, nil
-}
-
 // Fig5TableSizes is the x axis of Fig 5 (embeddings per table).
 func Fig5TableSizes() []int64 {
 	return []int64{16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10, 512 << 10, 1024 << 10}

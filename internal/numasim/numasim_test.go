@@ -70,9 +70,31 @@ func TestTableThreadingBeatsBatchOnSlowTiers(t *testing.T) {
 	}
 }
 
+// normalizedSeries runs a placement across table sizes and returns app
+// bandwidth normalized to the all-local configuration at each size — the
+// y-axis of Fig 5.
+func normalizedSeries(p Platform, threading Threading, embDim int, tableSizes []int64, place Placement) ([]float64, error) {
+	out := make([]float64, len(tableSizes))
+	for i, ts := range tableSizes {
+		w := DefaultWorkload(threading, embDim, ts)
+		base, err := Run(p, w, AllLocal)
+		if err != nil {
+			return nil, err
+		}
+		r, err := Run(p, w, place)
+		if err != nil {
+			return nil, err
+		}
+		if base.AppGBs > 0 {
+			out[i] = r.AppGBs / base.AppGBs
+		}
+	}
+	return out, nil
+}
+
 func TestNormalizedSeriesShape(t *testing.T) {
 	p := Genoa()
-	series, err := NormalizedSeries(p, BatchThreading, 64, Fig5TableSizes(), RemoteSocket)
+	series, err := normalizedSeries(p, BatchThreading, 64, Fig5TableSizes(), RemoteSocket)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +114,7 @@ func TestNormalizedSeriesShape(t *testing.T) {
 
 func TestInterleaveSeriesExceedsOne(t *testing.T) {
 	p := Genoa()
-	series, err := NormalizedSeries(p, TableThreading, 128, Fig5TableSizes(), InterleaveCXL)
+	series, err := normalizedSeries(p, TableThreading, 128, Fig5TableSizes(), InterleaveCXL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,6 +46,10 @@ import (
 	"pifsrec/internal/memo"
 )
 
+// workerLiveWindow is how recently a worker must have polled to count as
+// live for the claim-budget gate.
+const workerLiveWindow = 5 * time.Second
+
 // CoordinatorConfig tunes the job board. Zero values take the defaults.
 type CoordinatorConfig struct {
 	// LeaseTTL is how long a worker holds a leased job before the lease
@@ -57,9 +61,6 @@ type CoordinatorConfig struct {
 	// jobs run locally immediately, so a coordinator with no fleet behaves
 	// like a plain local sweep.
 	ClaimBudget time.Duration
-	// WorkerLiveWindow is how recently a worker must have polled to count
-	// as live for the claim-budget gate (default 5s).
-	WorkerLiveWindow time.Duration
 	// Log receives coordinator events (lease expiries, duplicate
 	// mismatches, corrupt posts); nil silences them.
 	Log *log.Logger
@@ -71,9 +72,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	}
 	if c.ClaimBudget <= 0 {
 		c.ClaimBudget = 250 * time.Millisecond
-	}
-	if c.WorkerLiveWindow <= 0 {
-		c.WorkerLiveWindow = 5 * time.Second
 	}
 	return c
 }
@@ -226,7 +224,7 @@ func (c *Coordinator) logf(format string, args ...any) {
 func (c *Coordinator) liveWorkersLocked(now time.Time) int {
 	n := 0
 	for _, w := range c.workers {
-		if now.Sub(w.lastSeen) <= c.cfg.WorkerLiveWindow {
+		if now.Sub(w.lastSeen) <= workerLiveWindow {
 			n++
 		}
 	}

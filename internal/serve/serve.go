@@ -23,6 +23,8 @@
 //
 // The JSON request bodies of /v1/simulate and /v1/jobs/lease are bounded at
 // maxRequestBytes (after gzip decoding); a larger body is answered 413.
+// /v1/simulate also answers 400 for more than maxSimulateConfigs configs, or
+// a config whose sizes fall outside the ConfigSpec bounds.
 //
 // /v1/run responses carry X-Memo-Hits / X-Memo-Misses headers — the cache's
 // hit and miss deltas while the request ran — and, with a coordinator
@@ -53,10 +55,22 @@ import (
 	"pifsrec/internal/trace"
 )
 
+// Size bounds of a /v1/simulate request. A body well under maxRequestBytes
+// could otherwise exhaust memory: every config retains its trace before any
+// run, and a run allocates per device and per batch. The bounds cover every
+// value the experiments and the CLI defaults use (fig13c reaches 32
+// switches, devices and hosts).
+const (
+	maxSimulateConfigs = 64 // configs per request
+	maxSpecCount       = 64 // devices, hosts and batches per config
+	maxSpecSwitches    = 32 // switches per config
+)
+
 // ConfigSpec is the wire form of one raw simulation config: the same knobs
 // the pifssim CLI exposes, JSON-encoded. Zero values take the CLI's
 // defaults (RMC4 at scale 64, Meta trace, 2 batches, seed 1; device/switch/
-// host counts fall to the engine's own defaults).
+// host counts fall to the engine's own defaults). Devices, hosts and batches
+// must lie in [0, maxSpecCount], switches in [0, maxSpecSwitches].
 type ConfigSpec struct {
 	Scheme        string  `json:"scheme"`
 	Model         string  `json:"model"`
@@ -75,6 +89,19 @@ type ConfigSpec struct {
 // regenerated per call; their content hash — not their allocation — is the
 // cache identity, so a regenerated trace still hits.
 func (cs ConfigSpec) config() (engine.Config, error) {
+	for _, b := range []struct {
+		name   string
+		v, max int
+	}{
+		{"devices", cs.Devices, maxSpecCount},
+		{"hosts", cs.Hosts, maxSpecCount},
+		{"batches", cs.Batches, maxSpecCount},
+		{"switches", cs.Switches, maxSpecSwitches},
+	} {
+		if b.v < 0 || b.v > b.max {
+			return engine.Config{}, fmt.Errorf("%s %d outside [0, %d]", b.name, b.v, b.max)
+		}
+	}
 	scheme := engine.Scheme(cs.Scheme)
 	switch scheme {
 	case engine.Pond, engine.PondPM, engine.BEACON, engine.RecNMP, engine.PIFSRec:
@@ -108,9 +135,6 @@ func (cs ConfigSpec) config() (engine.Config, error) {
 	batches := cs.Batches
 	if batches == 0 {
 		batches = 2
-	}
-	if batches < 1 {
-		return engine.Config{}, fmt.Errorf("batches %d must be at least 1", batches)
 	}
 	tr, err := trace.Generate(trace.Spec{
 		Kind:         kind,
@@ -419,6 +443,11 @@ func handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Configs) == 0 {
 		writeError(w, http.StatusBadRequest, "no configs in request")
+		return
+	}
+	if len(req.Configs) > maxSimulateConfigs {
+		writeError(w, http.StatusBadRequest, "%d configs exceed the limit of %d per request",
+			len(req.Configs), maxSimulateConfigs)
 		return
 	}
 	cfgs := make([]engine.Config, len(req.Configs))

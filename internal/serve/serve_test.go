@@ -181,6 +181,12 @@ func TestSimulateEndpointRejectsBadInput(t *testing.T) {
 		{"bad model", `{"configs":[{"model":"RMC9"}]}`, "unknown model"},
 		{"bad scale", `{"configs":[{"scale":-1}]}`, "scale"},
 		{"bad batches", `{"configs":[{"batches":-1}]}`, "batches"},
+		{"negative devices", `{"configs":[{"devices":-1}]}`, "devices -1 outside [0, 64]"},
+		{"too many devices", `{"configs":[{"devices":65}]}`, "devices 65 outside [0, 64]"},
+		{"too many hosts", `{"configs":[{"hosts":65}]}`, "hosts 65 outside [0, 64]"},
+		{"too many batches", `{"configs":[{"batches":65}]}`, "batches 65 outside [0, 64]"},
+		{"too many switches", `{"configs":[{"switches":33}]}`, "switches 33 outside [0, 32]"},
+		{"too many configs", `{"configs":[` + strings.Repeat(`{},`, 64) + `{}]}`, "65 configs exceed the limit of 64"},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(srv.URL+"/v1/simulate", "application/json", strings.NewReader(tc.body))

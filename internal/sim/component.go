@@ -1,13 +1,15 @@
 // The Component model: every piece of simulated hardware — a host socket
-// with its DIMMs, a fabric switch with its buffer, a CXL memory expander,
-// a DRAM channel bank, a numasim memory node — is a Component living in a
-// placement group. A group owns one Engine and is the unit the sharded
+// with its DIMMs, a fabric switch with its buffer, a CXL memory expander
+// with its DRAM controller, a numasim memory node — is a Component living in
+// a placement group. A group owns one Engine and is the unit the sharded
 // coordinator schedules onto worker shards; components in the same group may
 // share state and call each other directly, components in different groups
 // interact only through mailbox messages. Because each group's event stream
 // is confined to its own engine and cross-group messages merge in a
 // placement-independent order, WHERE a group runs is a pure scheduling
 // decision: results are byte-identical for every placement and worker count.
+// Cross-group bookkeeping between windows belongs to the one barrier the
+// engine's owner installs (ShardedEngine.SetBarrier).
 package sim
 
 import "sort"
@@ -30,56 +32,17 @@ type Component interface {
 	// Every component schedules exclusively on its group's Engine.
 	ComponentGroup() int32
 
-	// CostWeight is the component's static relative execution cost. Group
-	// weights (the sum over a group's components) are what the placement
-	// policy balances, once, at the first Run.
+	// CostWeight is the component's static relative execution cost,
+	// including any state it drives through shared memory (a DRAM
+	// controller's channels). Group weights (the sum over a group's
+	// components) are what the placement policy balances, once, at the
+	// first Run.
 	CostWeight() float64
-
-	// WindowStart runs single-threaded before the shards launch a window
-	// starting at `at`; WindowEnd runs single-threaded at the barrier
-	// closing it (argument = window end), after messages have merged, in
-	// registration (endpoint) order. Both hooks may touch cross-group
-	// state — nothing else runs. They are invoked only on components whose
-	// UsesWindowHooks reports true: windows are ~50 ns of simulated time,
-	// so a no-op hook on every component would dominate the coordinator.
-	UsesWindowHooks() bool
-	WindowStart(at Tick)
-	WindowEnd(at Tick)
 }
 
-// BarrierIdler is an optional Component extension for hooked components
-// whose window hooks are pure merges of buffered state: BarrierIdle reports
-// true when the component has nothing buffered, so skipping its WindowEnd
-// would be a no-op. When every hooked component is an idler and all report
-// idle — and the installed barrier (if any) declares itself idle via
-// SetBarrierIdle — a window that staged no cross-group messages skips the
-// whole barrier sequence (exchange, hooks, barrier).
-// Elision is pure scheduling: it only ever skips work that would not have
-// observed or changed anything. A hooked component that does NOT implement
-// BarrierIdler conservatively vetoes elision for the whole run.
-type BarrierIdler interface {
-	BarrierIdle() bool
-}
-
-// NoWindowHooks opts a component out of the per-window hooks: embed it in
-// components that need no barrier work. Components overriding WindowStart
-// or WindowEnd must also override UsesWindowHooks to opt into per-window
-// invocation.
-type NoWindowHooks struct{}
-
-// UsesWindowHooks reports false.
-func (NoWindowHooks) UsesWindowHooks() bool { return false }
-
-// WindowStart is a no-op.
-func (NoWindowHooks) WindowStart(Tick) {}
-
-// WindowEnd is a no-op.
-func (NoWindowHooks) WindowEnd(Tick) {}
-
-// ComponentBase provides no-op window hooks and stored group/weight fields,
-// so concrete components only implement what they use.
+// ComponentBase provides stored group/weight fields, so concrete components
+// only implement HandleMsg.
 type ComponentBase struct {
-	NoWindowHooks
 	Group  int32
 	Weight float64
 }

@@ -51,18 +51,15 @@ func TestPlaceGroupsDegenerateCases(t *testing.T) {
 	}
 }
 
-// pinger is a minimal Component: it counts messages and window hooks, and
-// bounces a decrementing counter to a peer.
+// pinger is a minimal Component: it counts messages and bounces a
+// decrementing counter to a peer.
 type pinger struct {
 	ComponentBase
-	se       *ShardedEngine
-	port     int32
-	peerG    int32
-	peerEp   int32
-	got      int
-	starts   int
-	ends     int
-	lastWend Tick
+	se     *ShardedEngine
+	port   int32
+	peerG  int32
+	peerEp int32
+	got    int
 }
 
 func (p *pinger) HandleMsg(env Envelope) {
@@ -75,20 +72,13 @@ func (p *pinger) HandleMsg(env Envelope) {
 		eng.Now()+60, Payload{U1: env.P.U1 - 1}, nil)
 }
 
-func (p *pinger) UsesWindowHooks() bool { return true }
-func (p *pinger) WindowStart(Tick)      { p.starts++ }
-func (p *pinger) WindowEnd(at Tick) {
-	p.ends++
-	p.lastWend = at
-}
-
-// TestComponentRegistryDispatch wires two registered components (no deliver
-// override) and checks the mailbox routes straight to HandleMsg and window
-// hooks fire.
+// TestComponentRegistryDispatch wires two registered components and checks
+// the mailbox routes straight to HandleMsg and each group's weight is its
+// component's CostWeight.
 func TestComponentRegistryDispatch(t *testing.T) {
 	se := NewSharded(2, 50)
-	g0 := se.NewGroup(0)
-	g1 := se.NewGroup(0)
+	g0 := se.NewGroup()
+	g1 := se.NewGroup()
 	a := &pinger{ComponentBase: ComponentBase{Group: g0, Weight: 2}, se: se, peerG: g1, peerEp: 1}
 	b := &pinger{ComponentBase: ComponentBase{Group: g1, Weight: 3}, se: se, peerG: g0, peerEp: 0}
 	epA := se.Register(a)
@@ -110,50 +100,7 @@ func TestComponentRegistryDispatch(t *testing.T) {
 	if b.got != 5 || a.got != 5 {
 		t.Errorf("deliveries a=%d b=%d, want 5 each", a.got, b.got)
 	}
-	if a.starts == 0 || a.ends == 0 || b.ends == 0 {
-		t.Errorf("window hooks not invoked: starts=%d ends=%d", a.starts, a.ends)
-	}
-	if a.lastWend == 0 {
-		t.Error("WindowEnd never saw a window-end time")
-	}
 	if se.PendingMessages() != 0 {
 		t.Errorf("%d messages leaked", se.PendingMessages())
-	}
-}
-
-// auxProbe records hook calls for a cost-only component.
-type auxProbe struct {
-	ComponentBase
-	ends int
-}
-
-func (p *auxProbe) HandleMsg(Envelope)    { panic("aux component got a message") }
-func (p *auxProbe) UsesWindowHooks() bool { return true }
-func (p *auxProbe) WindowEnd(Tick)        { p.ends++ }
-
-// TestRegisterAuxAddsWeightAndHooks pins the aux-component contract: weight
-// folds into the group seed, hooks fire, and no endpoint is consumed.
-func TestRegisterAuxAddsWeightAndHooks(t *testing.T) {
-	se := NewSharded(1, 50)
-	g := se.NewGroup(1)
-	probe := &auxProbe{ComponentBase: ComponentBase{Group: g, Weight: 4}}
-	se.RegisterAux(probe)
-	if w := se.GroupWeight(int(g)); w != 5 {
-		t.Fatalf("group weight %v, want 5 (1 seed + 4 aux)", w)
-	}
-	sink := &pinger{ComponentBase: ComponentBase{Group: g}, se: se}
-	if ep := se.Register(sink); ep != 0 {
-		t.Fatalf("aux component consumed endpoint space: first real endpoint = %d", ep)
-	}
-	port := se.NewPort()
-	se.Group(int(g)).At(0, func() {
-		se.Outbox(int(g)).Post(port, g, 0, 60, Payload{}, nil)
-	})
-	se.Run()
-	if probe.ends == 0 {
-		t.Error("aux component's WindowEnd never ran")
-	}
-	if sink.got != 1 {
-		t.Errorf("registered component got %d messages, want 1", sink.got)
 	}
 }

@@ -32,8 +32,7 @@ func TestRunCheckedLookaheadError(t *testing.T) {
 // an error on the caller, with the limit it tripped.
 func TestRunCheckedEventLimitError(t *testing.T) {
 	se := NewSharded(1, 50)
-	se.NewGroup(1)
-	se.SetDeliver(func(Envelope) {})
+	addGroups(se, func(Envelope) {}, 1)
 	eng := se.Group(0)
 	eng.SetEventLimit(10)
 	var chain func()
@@ -75,8 +74,7 @@ func TestRunCheckedCleanRun(t *testing.T) {
 // structured watchdogs.
 func TestRunCheckedPassthroughPanic(t *testing.T) {
 	se := NewSharded(1, 50)
-	se.NewGroup(1)
-	se.SetDeliver(func(Envelope) {})
+	addGroups(se, func(Envelope) {}, 1)
 	se.Group(0).At(0, func() { panic("component bug") })
 	defer func() {
 		if p := recover(); p == nil {

@@ -81,7 +81,7 @@ type outbox struct {
 type groupState struct {
 	eng    *Engine
 	out    outbox
-	weight float64 // sum of registered component weights plus the NewGroup seed
+	weight float64 // sum of registered component weights
 }
 
 // Outbox is the sender-side handle links bind to.
@@ -89,12 +89,6 @@ type Outbox struct {
 	se    *ShardedEngine
 	group int32
 }
-
-// deliverShim routes envelopes to a ShardedEngine-level dispatch function —
-// the low-level alternative to registering Components (tests, harnesses).
-type deliverShim struct{ se *ShardedEngine }
-
-func (d deliverShim) HandleMsg(env Envelope) { d.se.deliver(env) }
 
 // ShardedEngine coordinates the groups across up to `workers` parallel
 // worker shards.
@@ -104,11 +98,7 @@ type ShardedEngine struct {
 
 	groups  []groupState
 	comps   []Component // by endpoint (registration order)
-	aux     []Component // cost/hook-only components (no endpoint)
-	hooked  []Component // components whose window hooks run (opt-in)
-	deliver func(Envelope)
 	barrier func(at Tick)
-	shim    deliverShim
 
 	portSeq []uint32
 	curEnd  Tick // current window end; Post asserts deliveries land beyond it
@@ -145,13 +135,9 @@ type ShardedEngine struct {
 	envCount      int64
 	crossCount    int64
 
-	// Barrier-elision state: a window that staged no cross-group messages
-	// skips the whole barrier sequence when every hooked component is a
-	// BarrierIdler reporting idle and the installed barrier (if any) reports
-	// idle through barrierIdleFn. A hooked component that is not an idler
-	// vetoes elision for the run (hookVeto).
-	idlers        []BarrierIdler
-	hookVeto      bool
+	// Barrier elision: a window that staged no cross-group messages skips
+	// the whole barrier sequence when no barrier is installed or the
+	// installed barrier reports idle through barrierIdleFn.
 	barrierIdleFn func() bool
 }
 
@@ -174,36 +160,32 @@ func NewSharded(workers int, window Tick) *ShardedEngine {
 	if window <= 0 {
 		panic(fmt.Sprintf("sim: NewSharded with window %d", window))
 	}
-	se := &ShardedEngine{workers: workers, window: window}
-	se.shim = deliverShim{se}
-	return se
+	return &ShardedEngine{workers: workers, window: window}
 }
 
-// NewGroup allocates a placement group with a static cost-weight seed and a
-// private engine, returning the group id. Groups must be created in a fixed
-// construction order (ids are assigned sequentially).
-func (se *ShardedEngine) NewGroup(weight float64) int32 {
-	se.groups = append(se.groups, groupState{eng: NewEngine(), weight: weight})
+// NewGroup allocates a placement group with a private engine, returning the
+// group id. Groups must be created in a fixed construction order (ids are
+// assigned sequentially); a group's weight is the sum of its registered
+// components' CostWeight.
+func (se *ShardedEngine) NewGroup() int32 {
+	se.groups = append(se.groups, groupState{eng: NewEngine()})
 	return int32(len(se.groups) - 1)
 }
 
 // Groups returns the group count.
 func (se *ShardedEngine) Groups() int { return len(se.groups) }
 
-// Workers returns the worker bound.
-func (se *ShardedEngine) Workers() int { return se.workers }
-
 // Group returns group g's engine; components constructed in that group use
 // it for all their local scheduling.
 func (se *ShardedEngine) Group(g int) *Engine { return se.groups[g].eng }
 
-// GroupWeight returns a group's static weight seed (its components' summed
-// CostWeight declarations plus any NewGroup seed).
+// GroupWeight returns a group's static weight (its components' summed
+// CostWeight declarations).
 func (se *ShardedEngine) GroupWeight(g int) float64 { return se.groups[g].weight }
 
 // Register adds a component and returns its endpoint id (assigned in
 // registration order — the order must not depend on worker count or
-// placement). The component's static weight is folded into its group's seed.
+// placement). The component's static weight is added to its group's.
 func (se *ShardedEngine) Register(c Component) int32 {
 	g := c.ComponentGroup()
 	if g < 0 || int(g) >= len(se.groups) {
@@ -211,39 +193,7 @@ func (se *ShardedEngine) Register(c Component) int32 {
 	}
 	se.groups[g].weight += c.CostWeight()
 	se.comps = append(se.comps, c)
-	if c.UsesWindowHooks() {
-		se.hooked = append(se.hooked, c)
-		se.noteIdler(c)
-	}
 	return int32(len(se.comps) - 1)
-}
-
-// RegisterAux adds a cost-contributing, hook-receiving component that never
-// receives mailbox messages and gets no endpoint — DRAM channel banks use
-// this so per-bank weights make a memory node's true cost visible to the
-// placement.
-func (se *ShardedEngine) RegisterAux(c Component) {
-	g := c.ComponentGroup()
-	if g < 0 || int(g) >= len(se.groups) {
-		panic(fmt.Sprintf("sim: RegisterAux component in unknown group %d", g))
-	}
-	se.groups[g].weight += c.CostWeight()
-	se.aux = append(se.aux, c)
-	if c.UsesWindowHooks() {
-		se.hooked = append(se.hooked, c)
-		se.noteIdler(c)
-	}
-}
-
-// noteIdler records a hooked component's elision capability: BarrierIdlers
-// are polled each window, anything else conservatively vetoes elision for
-// the whole run.
-func (se *ShardedEngine) noteIdler(c Component) {
-	if b, ok := c.(BarrierIdler); ok {
-		se.idlers = append(se.idlers, b)
-	} else {
-		se.hookVeto = true
-	}
 }
 
 // Outbox returns the mailbox handle for senders living in group g.
@@ -251,17 +201,10 @@ func (se *ShardedEngine) Outbox(g int) *Outbox {
 	return &Outbox{se: se, group: int32(g)}
 }
 
-// SetDeliver installs a dispatch override invoked instead of the registered
-// component's HandleMsg — the low-level hook tests and custom harnesses use.
-// It is invoked on the destination group's worker at each message's delivery
-// time and must only touch state owned by the destination's group.
-func (se *ShardedEngine) SetDeliver(fn func(Envelope)) { se.deliver = fn }
-
-// SetBarrier installs a hook run between windows (single-goroutine, after
-// all workers have joined, messages have been injected, and component
-// WindowEnd hooks have run). The argument is the closing window's end time.
-// Cross-group bookkeeping — access-count merging, page-management epochs —
-// belongs here.
+// SetBarrier installs the hook run between windows (single-goroutine, after
+// all workers have joined and messages have been injected). The argument is
+// the closing window's end time. All cross-group bookkeeping — access-record
+// merging, page-management epochs — belongs here.
 func (se *ShardedEngine) SetBarrier(fn func(at Tick)) { se.barrier = fn }
 
 // SetPlacement installs the placement policy, evaluated once, at the first
@@ -271,9 +214,9 @@ func (se *ShardedEngine) SetPlacement(p PlacementPolicy) { se.policy = p }
 
 // SetBarrierIdle declares when the SetBarrier hook would be a no-op: fn
 // reports true while skipping the barrier hook observes and changes
-// nothing. Installing a barrier without an idle predicate disables
-// empty-window elision entirely (the engine cannot prove the hook is safe
-// to skip).
+// nothing. A barrier without an idle predicate (including a nil fn)
+// disables empty-window elision entirely (the engine cannot prove the hook
+// is safe to skip).
 func (se *ShardedEngine) SetBarrierIdle(fn func() bool) { se.barrierIdleFn = fn }
 
 // NewPort allocates a global port id. Ports identify sending links; the
@@ -309,12 +252,8 @@ func (ob *Outbox) Post(port int32, dstGroup, dstEndpoint int32, at Tick, p Paylo
 	})
 }
 
-// handlerFor resolves a message's destination: the deliver override when
-// installed, else the registered component.
+// handlerFor resolves a message's destination: the registered component.
 func (se *ShardedEngine) handlerFor(endpoint int32) MsgHandler {
-	if se.deliver != nil {
-		return se.shim
-	}
 	if int(endpoint) >= len(se.comps) {
 		panic(fmt.Sprintf("sim: message for unregistered endpoint %d", endpoint))
 	}
@@ -548,29 +487,19 @@ func (se *ShardedEngine) buildPlan() {
 	}
 }
 
-// runWindow executes the active groups up to deadline. With one active
-// group (or one worker) everything runs on the coordinator; otherwise the
-// plan's worker slices run in parallel when real cores back them, and
-// sequentially (still exercising the plan) on a single core.
+// runWindow executes the active groups up to deadline. When real cores do
+// not back more than one worker, or only one group is active, the
+// coordinator runs the active groups in order; otherwise the plan's worker
+// slices run in parallel. Group order inside a window is invisible: groups
+// share no state mid-window.
 func (se *ShardedEngine) runWindow(deadline Tick, multi bool) {
-	if len(se.active) == 0 {
-		return
-	}
-	if len(se.active) == 1 || se.workers == 1 {
+	if !multi || len(se.active) <= 1 {
 		for _, g := range se.active {
 			se.groups[g].eng.RunUntil(deadline)
 		}
 		return
 	}
 	se.buildPlan()
-	if !multi {
-		for w := range se.plan {
-			for _, g := range se.plan[w] {
-				se.groups[g].eng.RunUntil(deadline)
-			}
-		}
-		return
-	}
 	dispatched := 0
 	for w := 1; w < se.workers; w++ {
 		if len(se.plan[w]) > 0 {
@@ -600,31 +529,16 @@ func (se *ShardedEngine) stagedCount() int {
 }
 
 // canElide reports whether skipping the barrier sequence would be
-// unobservable given an empty exchange: no hooked component lacking a
-// BarrierIdle predicate, every idler idle, and the installed barrier (if
-// any) declaring itself idle.
+// unobservable given an empty exchange: no barrier installed, or its idle
+// predicate reporting idle.
 func (se *ShardedEngine) canElide() bool {
-	if se.hookVeto {
-		return false
-	}
-	if se.barrier != nil && se.barrierIdleFn == nil {
-		return false
-	}
-	for _, b := range se.idlers {
-		if !b.BarrierIdle() {
-			return false
-		}
-	}
-	if se.barrierIdleFn != nil && !se.barrierIdleFn() {
-		return false
-	}
-	return true
+	return se.barrier == nil || (se.barrierIdleFn != nil && se.barrierIdleFn())
 }
 
-// elideWindow skips the barrier sequence (exchange, WindowEnd hooks,
-// barrier) for a window that staged nothing. It re-verifies
-// every outbox is empty and panics with *ElisionError otherwise — eliding a
-// window with a pending cross-shard envelope would silently drop it.
+// elideWindow skips the barrier sequence (exchange, barrier) for a window
+// that staged nothing. It re-verifies every outbox is empty and panics with
+// *ElisionError otherwise — eliding a window with a pending cross-shard
+// envelope would silently drop it.
 func (se *ShardedEngine) elideWindow() {
 	for i := range se.groups {
 		if n := len(se.groups[i].out.msgs); n > 0 {
@@ -637,8 +551,8 @@ func (se *ShardedEngine) elideWindow() {
 // Run advances windows until every group drains and no messages remain, and
 // returns the final simulation time (the maximum across groups).
 func (se *ShardedEngine) Run() Tick {
-	if se.deliver == nil && len(se.comps) == 0 && len(se.groups) > 0 {
-		panic("sim: ShardedEngine.Run without registered components or SetDeliver")
+	if len(se.comps) == 0 && len(se.groups) > 0 {
+		panic("sim: ShardedEngine.Run without registered components")
 	}
 	se.ensureScratch()
 	multi := se.workers > 1 && runtime.GOMAXPROCS(0) > 1 && len(se.groups) > 1
@@ -677,9 +591,6 @@ func (se *ShardedEngine) Run() Tick {
 		}
 		winEnd := t + se.window
 		se.curEnd = winEnd - 1
-		for _, c := range se.hooked {
-			c.WindowStart(t)
-		}
 		se.active = se.active[:0]
 		for gi := range se.groups {
 			if se.nextAt[gi] <= winEnd-1 {
@@ -693,9 +604,6 @@ func (se *ShardedEngine) Run() Tick {
 		} else {
 			se.windowsRun++
 			se.exchange()
-			for _, c := range se.hooked {
-				c.WindowEnd(winEnd)
-			}
 			if se.barrier != nil {
 				se.barrier(winEnd)
 			}

@@ -6,8 +6,28 @@ import (
 	"testing"
 )
 
-// fakeNet wires a ShardedEngine whose deliver override records delivery
-// order. Each of the `groups` placement groups gets weight 1.
+// fnEndpoint is the sim tests' message endpoint: its HandleMsg calls the
+// test's function.
+type fnEndpoint struct {
+	ComponentBase
+	fn func(Envelope)
+}
+
+func (c *fnEndpoint) HandleMsg(env Envelope) { c.fn(env) }
+
+// addGroups appends one placement group per weight to se, each holding one
+// fnEndpoint of that weight. While every group and component of se comes
+// from addGroups, a group's endpoint id equals its group id. Every message
+// reaches fn.
+func addGroups(se *ShardedEngine, fn func(Envelope), weights ...float64) {
+	for _, w := range weights {
+		g := se.NewGroup()
+		se.Register(&fnEndpoint{ComponentBase: ComponentBase{Group: g, Weight: w}, fn: fn})
+	}
+}
+
+// fakeNet wires a ShardedEngine whose endpoints record delivery order. Each
+// of the `groups` placement groups gets one weight-1 endpoint.
 type fakeNet struct {
 	se    *ShardedEngine
 	order []Envelope
@@ -15,15 +35,15 @@ type fakeNet struct {
 
 func newFakeNet(workers, groups int, window Tick) *fakeNet {
 	f := &fakeNet{se: NewSharded(workers, window)}
-	for g := 0; g < groups; g++ {
-		f.se.NewGroup(1)
-	}
-	f.se.SetDeliver(func(env Envelope) {
+	record := func(env Envelope) {
 		// Copy the addrs (the slot's buffer is recycled after return).
 		cp := env
 		cp.Addrs = append([]uint64(nil), env.Addrs...)
 		f.order = append(f.order, cp)
-	})
+	}
+	for g := 0; g < groups; g++ {
+		addGroups(f.se, record, 1)
+	}
 	return f
 }
 
@@ -88,12 +108,13 @@ func pingWorkload(workers int, policy PlacementPolicy) ([][]pingRecord, SchedSta
 	se := NewSharded(workers, 50)
 	log := make([][]pingRecord, eps)
 	ports := make([]int32, eps)
+	weights := make([]float64, eps)
 	for e := 0; e < eps; e++ {
-		se.NewGroup(float64(1 + e)) // deliberately uneven weights
+		weights[e] = float64(1 + e) // deliberately uneven weights
 		ports[e] = se.NewPort()
 	}
 	se.SetPlacement(policy)
-	se.SetDeliver(func(env Envelope) {
+	addGroups(se, func(env Envelope) {
 		eng := se.Group(int(env.Endpoint))
 		log[env.Endpoint] = append(log[env.Endpoint],
 			pingRecord{at: env.At, ep: env.Endpoint, u: env.P.U0, cnt: env.P.U1})
@@ -108,7 +129,7 @@ func pingWorkload(workers int, policy PlacementPolicy) ([][]pingRecord, SchedSta
 			se.Outbox(int(src)).Post(ports[src], dst, dst,
 				eng.Now()+60, Payload{U0: src, U1: cnt}, nil)
 		})
-	})
+	}, weights...)
 	// Seed: every endpoint fires one initial message to its neighbor.
 	for e := int32(0); e < eps; e++ {
 		e := e
@@ -185,12 +206,10 @@ func TestMailboxPlacementInvariance(t *testing.T) {
 // windows, slots and address buffers recycled.
 func TestMailboxSlotReuse(t *testing.T) {
 	se := NewSharded(2, 50)
-	se.NewGroup(1)
-	se.NewGroup(1)
 	p0, p1 := se.NewPort(), se.NewPort()
 	addrs := []uint64{1, 2, 3, 4}
 	var delivered int
-	se.SetDeliver(func(env Envelope) {
+	addGroups(se, func(env Envelope) {
 		delivered++
 		if env.P.U1 >= 400 {
 			return
@@ -202,7 +221,7 @@ func TestMailboxSlotReuse(t *testing.T) {
 		} else {
 			se.Outbox(1).Post(p1, 0, 0, se.Group(1).Now()+60, Payload{U1: env.P.U1 + 1}, addrs)
 		}
-	})
+	}, 1, 1)
 	// Bootstrap: group 1 posts the first message.
 	se.Group(1).At(0, func() {
 		se.Outbox(1).Post(p1, 0, 0, 60, Payload{U1: 0}, addrs)
@@ -224,12 +243,10 @@ func TestMailboxSlotReuse(t *testing.T) {
 // envelope slots, per-window plans, and engine events must all recycle.
 func TestMailboxSteadyStateZeroAlloc(t *testing.T) {
 	se := NewSharded(2, 50)
-	se.NewGroup(1)
-	se.NewGroup(1)
 	p0, p1 := se.NewPort(), se.NewPort()
 	addrs := []uint64{1, 2, 3}
 	remaining := 0
-	se.SetDeliver(func(env Envelope) {
+	addGroups(se, func(env Envelope) {
 		if remaining <= 0 {
 			return
 		}
@@ -239,7 +256,7 @@ func TestMailboxSteadyStateZeroAlloc(t *testing.T) {
 		} else {
 			se.Outbox(1).Post(p1, 0, 0, se.Group(1).Now()+60, Payload{}, addrs)
 		}
-	})
+	}, 1, 1)
 	cycle := func() {
 		// Group clocks drift apart once queues drain (idle groups stop
 		// advancing); align them before re-seeding so the bootstrap post's
@@ -267,10 +284,8 @@ func TestMailboxSteadyStateZeroAlloc(t *testing.T) {
 // message delivered inside the current window is a modelling bug.
 func TestMailboxLookaheadViolationPanics(t *testing.T) {
 	se := NewSharded(2, 50)
-	se.NewGroup(1)
-	se.NewGroup(1)
+	addGroups(se, func(Envelope) {}, 1, 1)
 	port := se.NewPort()
-	se.SetDeliver(func(Envelope) {})
 	defer func() {
 		if recover() == nil {
 			t.Error("short-latency Post did not panic")
@@ -312,12 +327,10 @@ func TestPlacementDecidedOnce(t *testing.T) {
 // with an idle predicate must not fire during them.
 func TestBarrierElisionSkipsEmptyWindows(t *testing.T) {
 	se := NewSharded(2, 50)
-	se.NewGroup(1)
-	se.NewGroup(1)
 	p0 := se.NewPort()
 	idle := true
 	var barriers int
-	se.SetDeliver(func(env Envelope) {
+	addGroups(se, func(env Envelope) {
 		// A message-free tail: 40 local events spaced one window apart.
 		eng := se.Group(int(env.Endpoint))
 		var tick func()
@@ -328,7 +341,7 @@ func TestBarrierElisionSkipsEmptyWindows(t *testing.T) {
 			}
 		}
 		eng.At(eng.Now()+60, tick)
-	})
+	}, 1, 1)
 	se.SetBarrier(func(Tick) { barriers++ })
 	se.SetBarrierIdle(func() bool { return idle })
 	se.Group(0).At(0, func() {
@@ -351,10 +364,8 @@ func TestBarrierElisionSkipsEmptyWindows(t *testing.T) {
 // false must fire every window — elision never skips live bookkeeping.
 func TestBarrierNotIdleDisablesElision(t *testing.T) {
 	se := NewSharded(2, 50)
-	se.NewGroup(1)
-	se.NewGroup(1)
 	p0 := se.NewPort()
-	se.SetDeliver(func(env Envelope) {
+	addGroups(se, func(env Envelope) {
 		eng := se.Group(int(env.Endpoint))
 		n := 0
 		var tick func()
@@ -364,7 +375,7 @@ func TestBarrierNotIdleDisablesElision(t *testing.T) {
 			}
 		}
 		eng.At(eng.Now()+60, tick)
-	})
+	}, 1, 1)
 	se.SetBarrier(func(Tick) {})
 	se.SetBarrierIdle(func() bool { return false })
 	se.Group(0).At(0, func() {
@@ -381,10 +392,8 @@ func TestBarrierNotIdleDisablesElision(t *testing.T) {
 // elideWindow must panic with a structured *ElisionError instead.
 func TestElisionGateViolationPanics(t *testing.T) {
 	se := NewSharded(2, 50)
-	se.NewGroup(1)
-	se.NewGroup(1)
+	addGroups(se, func(Envelope) {}, 1, 1)
 	port := se.NewPort()
-	se.SetDeliver(func(Envelope) {})
 	se.ensureScratch()
 	se.curEnd = 49
 	se.Outbox(0).Post(port, 1, 1, 60, Payload{}, nil)
@@ -405,10 +414,8 @@ func TestElisionGateViolationPanics(t *testing.T) {
 // increasing window-end times.
 func TestBarrierHookTimes(t *testing.T) {
 	se := NewSharded(2, 50)
-	se.NewGroup(1)
-	se.NewGroup(1)
+	addGroups(se, func(Envelope) {}, 1, 1)
 	port := se.NewPort()
-	se.SetDeliver(func(env Envelope) {})
 	var barriers []Tick
 	se.SetBarrier(func(at Tick) { barriers = append(barriers, at) })
 	se.Group(0).At(0, func() {
@@ -429,12 +436,10 @@ func TestBarrierHookTimes(t *testing.T) {
 // bounced between two groups through the full window/merge/inject cycle.
 func BenchmarkMailboxPingPong(b *testing.B) {
 	se := NewSharded(2, 50)
-	se.NewGroup(1)
-	se.NewGroup(1)
 	p0, p1 := se.NewPort(), se.NewPort()
 	addrs := []uint64{1, 2, 3, 4}
 	remaining := 0
-	se.SetDeliver(func(env Envelope) {
+	addGroups(se, func(env Envelope) {
 		if remaining <= 0 {
 			return
 		}
@@ -444,7 +449,7 @@ func BenchmarkMailboxPingPong(b *testing.B) {
 		} else {
 			se.Outbox(1).Post(p1, 0, 0, se.Group(1).Now()+60, Payload{}, addrs)
 		}
-	})
+	}, 1, 1)
 	sync := func() Tick {
 		var end Tick
 		for i := 0; i < se.Groups(); i++ {

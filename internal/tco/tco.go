@@ -160,9 +160,3 @@ func PPW(m dlrm.ModelConfig, gpus int) float64 {
 	gpu := GPUThroughputGBs(m, gpus) / g.PowerW
 	return pifs / gpu
 }
-
-// CostRatio returns GPU system total cost over PIFS total cost — the
-// paper's "PIFS-Rec is N x more cost-effective" metric.
-func CostRatio(m dlrm.ModelConfig, gpus int) float64 {
-	return GPUSystem(m, gpus).Total() / PIFSSystem(m).Total()
-}

@@ -6,11 +6,17 @@ import (
 	"pifsrec/internal/dlrm"
 )
 
+// costRatio returns GPU system total cost over PIFS total cost — the
+// paper's "PIFS-Rec is N x more cost-effective" metric.
+func costRatio(m dlrm.ModelConfig, gpus int) float64 {
+	return GPUSystem(m, gpus).Total() / PIFSSystem(m).Total()
+}
+
 func TestPIFSSystemCheaperThanGPU(t *testing.T) {
 	// Fig 16: PIFS-Rec wins TCO for every model and GPU count.
 	for _, m := range dlrm.Models() {
 		for gpus := 1; gpus <= 4; gpus++ {
-			if ratio := CostRatio(m, gpus); ratio <= 1 {
+			if ratio := costRatio(m, gpus); ratio <= 1 {
 				t.Errorf("%s x%d GPUs: cost ratio %.2f, want > 1", m.Name, gpus, ratio)
 			}
 		}
@@ -21,10 +27,10 @@ func TestCostRatioShrinksWithModelSize(t *testing.T) {
 	// §VI-E: ~3.38x for RMC1 (multi-GPU comparator) down to ~2.53x for the
 	// largest models on one GPU at the 2 TB deployment scale: the advantage
 	// converges toward the DDR5/DDR4 price ratio as memory dominates.
-	small := CostRatio(dlrm.RMC1(), 2)
+	small := costRatio(dlrm.RMC1(), 2)
 	big := dlrm.RMC4()
 	big.Tables = 3072 // ~1.9 TB of embeddings: the paper's 2 TB system
-	large := CostRatio(big, 1)
+	large := costRatio(big, 1)
 	if large >= small {
 		t.Errorf("ratio grew with model size: RMC1 %.2f, RMC4@2TB %.2f", small, large)
 	}
