@@ -276,23 +276,38 @@ func BenchmarkDRAMStreaming(b *testing.B) {
 	}
 }
 
+// BenchmarkDRAMRandom drains 1000 single-line reads at random addresses on a
+// fresh controller: a Table II device with 64 B interleave, and the host's
+// 12-channel DDR5 with 4096 B interleave (engine's localGeometry), whose
+// channel count is not a power of two.
 func BenchmarkDRAMRandom(b *testing.B) {
-	geo := dram.Table2Geometry()
-	tim := dram.DDR4_3200()
-	rng := sim.NewRNG(1)
-	addrs := make([]uint64, 1000)
-	for i := range addrs {
-		addrs[i] = (rng.Uint64() % uint64(geo.Capacity())) &^ 63
-	}
-	done := func(int32, sim.Tick) {}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		c := dram.NewController(eng, geo, tim)
-		for _, a := range addrs {
-			c.SubmitRange(a, 64, false, 0, done, 0)
-		}
-		eng.Run()
+	for _, tc := range []struct {
+		name string
+		geo  dram.Geometry
+		tim  dram.Timing
+	}{
+		{"table2", dram.Table2Geometry(), dram.DDR4_3200()},
+		{"host-12ch", dram.Geometry{Channels: 12, Ranks: 2, BankGroups: 4, Banks: 4,
+			Rows: 1 << 12, RowBytes: 8192, InterleaveBytes: 4096}, dram.DDR5_4800()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			rng := sim.NewRNG(1)
+			addrs := make([]uint64, 1000)
+			for i := range addrs {
+				addrs[i] = (rng.Uint64() % uint64(tc.geo.Capacity())) &^ 63
+			}
+			done := func(int32, sim.Tick) {}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng := sim.NewEngine()
+				c := dram.NewController(eng, tc.geo, tc.tim)
+				for _, a := range addrs {
+					c.SubmitRange(a, 64, false, 0, done, 0)
+				}
+				eng.Run()
+			}
+		})
 	}
 }
 

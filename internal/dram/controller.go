@@ -9,13 +9,16 @@ import (
 // request is one arena-resident line access. Requests are value-typed and
 // referenced by index: the per-channel queues hold ids, and slots recycle
 // through a free list the moment the line's column command issues, so the
-// submit→complete path performs no heap allocation in steady state.
+// submit→complete path performs no heap allocation in steady state. A
+// request carries only what the scheduler reads, decoded once at submit, in
+// 24 bytes; Validate bounds the geometry fields the narrow types hold.
 type request struct {
-	addr   uint64
-	write  bool
 	submit sim.Tick
 	batch  int32
-	loc    Loc
+	row    int32
+	bank   uint16 // flattened rank/group/bank index into channel.banks
+	rank   uint8
+	write  bool
 }
 
 // Stats aggregates controller activity across all channels.
@@ -50,6 +53,7 @@ func (s Stats) MeanQueueDelayNS() float64 {
 type Controller struct {
 	eng   *sim.Engine
 	geo   Geometry
+	dec   lineDecoder
 	tim   Timing
 	chans []*channel
 
@@ -68,7 +72,7 @@ func NewController(eng *sim.Engine, geo Geometry, tim Timing) *Controller {
 	if err := tim.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Controller{eng: eng, geo: geo, tim: tim}
+	c := &Controller{eng: eng, geo: geo, dec: newLineDecoder(geo), tim: tim}
 	c.chans = make([]*channel, geo.Channels)
 	for i := range c.chans {
 		c.chans[i] = newChannel(c)
@@ -126,18 +130,13 @@ func (c *Controller) QueuedRequests() int {
 	return n
 }
 
-// enqueueLine places one line request of a batch into its channel's queue.
-// Allocation is channel-local: each bank owns its arena.
+// enqueueLine decodes one line request of a batch and places it into its
+// channel's queue. Allocation is channel-local: each channel owns its arena.
 func (c *Controller) enqueueLine(addr uint64, write bool, batch int32) {
-	loc := c.geo.Map(addr)
-	ch := c.chans[loc.Channel]
+	idx, bank, rank, row := c.dec.decode(addr)
+	ch := c.chans[idx]
 	id := ch.allocReq()
-	rq := &ch.reqs[id]
-	rq.addr = addr
-	rq.write = write
-	rq.submit = c.eng.Now()
-	rq.batch = batch
-	rq.loc = loc
+	ch.reqs[id] = request{submit: c.eng.Now(), batch: batch, row: row, bank: bank, rank: rank, write: write}
 	ch.enqueue(id)
 }
 
@@ -332,8 +331,8 @@ func (ch *channel) pick(now sim.Tick) int {
 	bestReady := sim.MaxTick
 	for i := 0; i < limit; i++ {
 		rq := &reqs[ch.q.at(i)]
-		b := &ch.banks[ch.ctl.geo.bankIndex(rq.loc)]
-		if b.openRow == rq.loc.Row {
+		b := &ch.banks[rq.bank]
+		if b.openRow == int(rq.row) {
 			return i // row hit: take the oldest hit immediately
 		}
 		ready := b.actReadyAt
@@ -351,11 +350,10 @@ func (ch *channel) pick(now sim.Tick) int {
 // issue runs the bank state machine for one request starting no earlier
 // than now and returns the column command time and data completion time.
 func (ch *channel) issue(r *request, now sim.Tick) (cmdAt, doneAt sim.Tick) {
-	g := ch.ctl.geo
-	b := &ch.banks[g.bankIndex(r.loc)]
+	b := &ch.banks[r.bank]
 	st := &ch.stats
 
-	if b.openRow != r.loc.Row {
+	if row := int(r.row); b.openRow != row {
 		st.RowMisses++
 		t := now
 		if b.openRow >= 0 {
@@ -368,15 +366,15 @@ func (ch *channel) issue(r *request, now sim.Tick) (cmdAt, doneAt sim.Tick) {
 		} else if b.actReadyAt > t {
 			t = b.actReadyAt
 		}
-		if ra := ch.rankAct[r.loc.Rank]; ra > t {
+		if ra := ch.rankAct[r.rank]; ra > t {
 			t = ra
 		}
 		actAt := ch.refreshAdjust(t)
-		b.openRow = r.loc.Row
+		b.openRow = row
 		b.colReadyAt = actAt + ch.rcd
 		b.preReadyAt = actAt + ch.ras
 		b.actReadyAt = actAt + ch.rc
-		ch.rankAct[r.loc.Rank] = actAt + ch.rrd
+		ch.rankAct[r.rank] = actAt + ch.rrd
 	} else {
 		st.RowHits++
 	}

@@ -2,6 +2,7 @@ package dram
 
 import (
 	"testing"
+	"unsafe"
 
 	"pifsrec/internal/sim"
 )
@@ -289,5 +290,45 @@ func TestFairnessNoStarvation(t *testing.T) {
 	}
 	if bDone >= lastHit {
 		t.Fatalf("bank-B request starved: done at %d, after all %d hits (last %d)", bDone, 200, lastHit)
+	}
+}
+
+// TestRequestPathSteadyStateZeroAlloc pins the line path's pooled arenas:
+// once a controller has drained one bag of scattered row vectors, another
+// SubmitBatch of it run to completion allocates nothing. It runs on the
+// host's 12-channel geometry, so the decoder's channel divide is on the
+// path.
+func TestRequestPathSteadyStateZeroAlloc(t *testing.T) {
+	geo := hostGeometry()
+	eng, c := testController(geo, DDR5_4800())
+	rng := sim.NewRNG(5)
+	const vecBytes = 512
+	addrs := make([]uint64, 32)
+	for i := range addrs {
+		addrs[i] = (rng.Uint64() % uint64(geo.Capacity()-vecBytes)) &^ (accessBytes - 1)
+	}
+	done := func(int32, sim.Tick) {}
+	c.SubmitBatch(addrs, vecBytes, false, 0, done, 0)
+	eng.Run()
+	bags := 1
+	allocs := testing.AllocsPerRun(100, func() {
+		c.SubmitBatch(addrs, vecBytes, false, 0, done, 0)
+		eng.Run()
+		bags++
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state SubmitBatch + Run allocated %.1f times per bag, want 0", allocs)
+	}
+	if want := int64(bags * len(addrs) * vecBytes / accessBytes); c.Stats().Reads != want {
+		t.Fatalf("Reads = %d, want every line of %d bags (%d)", c.Stats().Reads, bags, want)
+	}
+}
+
+// TestRequestFitsIn24Bytes pins a queued line's footprint: every line of
+// every figure passes through a channel arena of requests, so a field that
+// grows the struct past 24 bytes fails here by name.
+func TestRequestFitsIn24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(request{}); n > 24 {
+		t.Fatalf("request is %d bytes, want at most 24", n)
 	}
 }
