@@ -47,9 +47,9 @@ type Config struct {
 	Scheme Scheme
 	Model  dlrm.ModelConfig
 	// Trace is excluded from the JSON form: the distributed-sweep wire
-	// encoding (harness.EncodeJob) ships it as framed PIFSTRC1 bytes next
-	// to the config JSON, because a JSON rendering of multi-thousand-index
-	// bags is an order of magnitude larger than the binary trace format.
+	// (harness.EncodeJob) carries the config JSON only, and the lease names
+	// the trace by its content hash. A worker fetches the trace's PIFSTRC1
+	// bytes from the coordinator once and keeps it for later leases.
 	Trace *trace.Trace `json:"-"`
 
 	// Devices is the number of CXL Type 3 memory devices (default 4, the

@@ -1,41 +1,44 @@
 package harness
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 
 	"pifsrec/internal/engine"
-	"pifsrec/internal/trace"
 )
 
 // Job wire format — the byte string a coordinator ships to a pull worker so
 // the worker can rebuild the job and run it through its own memoized
 // RunJobs path. Layout (all integers little-endian):
 //
-//	magic   [8]byte  "PIFSJOB1"
+//	magic   [8]byte  "PIFSJOB2"
 //	version u8       wire version (jobWireVersion)
 //	kind    u8       1 = engine job, 2 = numasim job
-//	engine: u32-framed config JSON (trace and placement excluded),
-//	        u32-framed PIFSTRC1 trace bytes
+//	engine: u32-framed config JSON (trace and placement excluded)
 //	numa:   u32-framed NumaJob JSON
 //	crc     u32      IEEE CRC-32 over everything before it
 //
+// An engine job's trace is not on the wire: the lease names it by its
+// content hash (trace.Trace.Hash), and the worker attaches the trace whose
+// PIFSTRC1 bytes it fetched and checked against that hash. DecodeJob
+// therefore returns an engine job with a nil Trace, which Job.Hash rejects,
+// so a job whose trace was never resolved cannot be hashed, run or stored.
+//
 // The encoding does not try to be canonical — the job's content identity is
 // Job.Hash, never these bytes. A worker therefore re-derives the hash from
-// the DECODED job and refuses to run a job whose recomputed hash differs
-// from the lease's: any drift between the wire codec and the config fields
-// (a new field missing from the JSON form, a trace mis-round-trip) degrades
-// to a refused lease and a coordinator-local run, never to a result stored
-// under the wrong key.
+// the decoded job, with its trace attached, and refuses to run a job whose
+// recomputed hash differs from the lease's: any drift between the wire
+// codec and the config fields (a new field missing from the JSON form, a
+// wrong trace) degrades to a refused lease and a coordinator-local run,
+// never to a result stored under the wrong key.
 
-var jobWireMagic = [8]byte{'P', 'I', 'F', 'S', 'J', 'O', 'B', '1'}
+var jobWireMagic = [8]byte{'P', 'I', 'F', 'S', 'J', 'O', 'B', '2'}
 
 // jobWireVersion is the job wire version; decoders reject any other, so
 // mixed-version fleets fail leases loudly instead of misparsing.
-const jobWireVersion = 1
+const jobWireVersion = 2
 
 const (
 	jobKindEngine = 1
@@ -44,12 +47,13 @@ const (
 
 // EncodeJob serializes a job for the distribution wire. Jobs carrying
 // process-local state with no wire form — an engine config with a custom
-// Placement policy, or no trace — are not distributable and return an
-// error; the coordinator runs those locally. The pure-scheduling Shards
+// Placement policy, or no trace for a lease to name — are not distributable
+// and return an error; the coordinator runs those locally. The trace itself
+// is left off the wire (see the layout above). The pure-scheduling Shards
 // field is stripped: the worker runs the job at its default, and results are
 // byte-identical regardless.
 func EncodeJob(j Job) ([]byte, error) {
-	b := make([]byte, 0, 1024)
+	b := make([]byte, 0, 512)
 	b = append(b, jobWireMagic[:]...)
 	b = append(b, jobWireVersion)
 	switch {
@@ -61,20 +65,14 @@ func EncodeJob(j Job) ([]byte, error) {
 		if cfg.Trace == nil {
 			return nil, fmt.Errorf("harness: job with no trace is not wire-encodable")
 		}
-		tr := cfg.Trace
 		cfg.Trace = nil
 		cfg.Shards = 0
 		cj, err := json.Marshal(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("harness: encoding job config: %w", err)
 		}
-		var tb bytes.Buffer
-		if err := tr.Write(&tb); err != nil {
-			return nil, fmt.Errorf("harness: encoding job trace: %w", err)
-		}
 		b = append(b, jobKindEngine)
 		b = appendFramed(b, cj)
-		b = appendFramed(b, tb.Bytes())
 	case j.Numa != nil && j.Engine == nil:
 		nj, err := json.Marshal(j.Numa)
 		if err != nil {
@@ -89,16 +87,17 @@ func EncodeJob(j Job) ([]byte, error) {
 }
 
 // DecodeJob rebuilds a job from its wire form, validating magic, version,
-// framing, and checksum. It does NOT vouch for content identity — callers
-// must compare the decoded job's Hash against the hash the job was leased
-// under before running it.
+// framing, and checksum. An engine job comes back with a nil Trace: the
+// caller attaches the trace its lease names. DecodeJob does NOT vouch for
+// content identity — callers must compare the decoded job's Hash, trace
+// attached, against the hash the job was leased under before running it.
 func DecodeJob(raw []byte) (Job, error) {
 	const head = 8 + 1 + 1 // magic + version + kind
 	if len(raw) < head+4 {
 		return Job{}, fmt.Errorf("harness: job wire too short (%d bytes)", len(raw))
 	}
 	if [8]byte(raw[:8]) != jobWireMagic {
-		return Job{}, fmt.Errorf("harness: bad job wire magic")
+		return Job{}, fmt.Errorf("harness: bad job wire magic %q", raw[:8])
 	}
 	if raw[8] != jobWireVersion {
 		return Job{}, fmt.Errorf("harness: job wire version %d, want %d", raw[8], jobWireVersion)
@@ -108,40 +107,23 @@ func DecodeJob(raw []byte) (Job, error) {
 	if crc32.ChecksumIEEE(body) != want {
 		return Job{}, fmt.Errorf("harness: job wire checksum mismatch")
 	}
-	rest := body[head:]
+	frame, rest, err := readFramed(body[head:])
+	if err != nil {
+		return Job{}, fmt.Errorf("harness: job frame: %w", err)
+	}
+	if len(rest) != 0 {
+		return Job{}, fmt.Errorf("harness: %d trailing bytes after the job frame", len(rest))
+	}
 	switch raw[9] {
 	case jobKindEngine:
-		cj, rest, err := readFramed(rest)
-		if err != nil {
-			return Job{}, fmt.Errorf("harness: job config frame: %w", err)
-		}
-		tb, rest, err := readFramed(rest)
-		if err != nil {
-			return Job{}, fmt.Errorf("harness: job trace frame: %w", err)
-		}
-		if len(rest) != 0 {
-			return Job{}, fmt.Errorf("harness: %d trailing bytes after engine job", len(rest))
-		}
 		var cfg engine.Config
-		if err := json.Unmarshal(cj, &cfg); err != nil {
+		if err := json.Unmarshal(frame, &cfg); err != nil {
 			return Job{}, fmt.Errorf("harness: decoding job config: %w", err)
 		}
-		tr, err := trace.Read(bytes.NewReader(tb))
-		if err != nil {
-			return Job{}, fmt.Errorf("harness: decoding job trace: %w", err)
-		}
-		cfg.Trace = tr
 		return Job{Engine: &cfg}, nil
 	case jobKindNuma:
-		nj, rest, err := readFramed(rest)
-		if err != nil {
-			return Job{}, fmt.Errorf("harness: numa job frame: %w", err)
-		}
-		if len(rest) != 0 {
-			return Job{}, fmt.Errorf("harness: %d trailing bytes after numa job", len(rest))
-		}
 		var n NumaJob
-		if err := json.Unmarshal(nj, &n); err != nil {
+		if err := json.Unmarshal(frame, &n); err != nil {
 			return Job{}, fmt.Errorf("harness: decoding numa job: %w", err)
 		}
 		return Job{Numa: &n}, nil

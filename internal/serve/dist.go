@@ -2,7 +2,7 @@
 // board that exposes the cache-miss set of any in-flight sweep as leasable
 // units keyed by their existing content hashes, plus the HTTP handlers a
 // pull-worker fleet drives (/v1/jobs/lease, /v1/jobs/result, /v1/jobs/fail,
-// /v1/jobs/status).
+// /v1/jobs/status, /v1/traces/{hash}).
 //
 // The board installs itself behind harness.RunJobs as a Distributor: when a
 // sweep misses the cache, each miss becomes a board entry that either a
@@ -25,6 +25,12 @@
 //     identical in-flight sweep requests publish each job once and all
 //     wait on the same completion.
 //
+// A lease carries the job's config-only PIFSJOB2 wire and names an engine
+// job's trace by its content hash. The board keeps one copy of each named
+// trace's PIFSTRC1 bytes, serves it at /v1/traces/{hash} while any entry
+// names it, and drops it with the last such entry; a worker fetches each
+// trace once and checks its hash before use.
+//
 // Result posts are CRC-framed with the memo store's own entry framing
 // (memo.EncodeFrame), validated with the same decoder the store uses
 // against corrupt cache files: a truncated, bit-flipped, misdirected, or
@@ -33,17 +39,21 @@
 package serve
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pifsrec/internal/harness"
 	"pifsrec/internal/memo"
+	"pifsrec/internal/trace"
 )
 
 // workerLiveWindow is how recently a worker must have polled to count as
@@ -92,6 +102,7 @@ const (
 type distJob struct {
 	hash       memo.Hash
 	wire       []byte
+	trace      *boardTrace // nil for numa jobs
 	enqueuedAt time.Time
 
 	state    int
@@ -109,6 +120,14 @@ type distJob struct {
 	done    chan struct{}
 }
 
+// boardTrace is one trace the board serves at /v1/traces/{hash}: the
+// PIFSTRC1 bytes whose SHA-256 is hash, kept while any entry names it.
+type boardTrace struct {
+	hash memo.Hash
+	raw  []byte
+	refs int // board entries naming this trace
+}
+
 type workerInfo struct {
 	lastSeen  time.Time
 	leased    int64
@@ -122,6 +141,7 @@ type Coordinator struct {
 
 	mu       sync.Mutex
 	jobs     map[memo.Hash]*distJob
+	traces   map[memo.Hash]*boardTrace
 	workers  map[string]*workerInfo
 	wake     chan struct{} // closed and replaced whenever a job becomes leasable
 	leaseSeq uint64
@@ -139,6 +159,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	return &Coordinator{
 		cfg:     cfg.withDefaults(),
 		jobs:    make(map[memo.Hash]*distJob),
+		traces:  make(map[memo.Hash]*boardTrace),
 		workers: make(map[string]*workerInfo),
 		wake:    make(chan struct{}),
 	}
@@ -251,8 +272,11 @@ func (c *Coordinator) wakeLocked() {
 
 // enqueue publishes a job, deduplicating against the in-flight set: a
 // second sweep needing the same hash shares the first's entry (singleflight
-// — the job simulates once, both sweeps get the result).
-func (c *Coordinator) enqueue(h memo.Hash, wire []byte) *distJob {
+// — the job simulates once, both sweeps get the result). A new entry
+// naming trace tr (nil for numa jobs) takes one reference on the board's
+// copy of it, adding tr to the table if no entry names its hash yet; a
+// shared entry takes none.
+func (c *Coordinator) enqueue(h memo.Hash, wire []byte, tr *boardTrace) *distJob {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e := c.jobs[h]; e != nil {
@@ -260,9 +284,18 @@ func (c *Coordinator) enqueue(h memo.Hash, wire []byte) *distJob {
 		c.sharedJobs.Add(1)
 		return e
 	}
+	if tr != nil {
+		if have := c.traces[tr.hash]; have != nil {
+			tr = have
+		} else {
+			c.traces[tr.hash] = tr
+		}
+		tr.refs++
+	}
 	e := &distJob{
 		hash:       h,
 		wire:       wire,
+		trace:      tr,
 		enqueuedAt: time.Now(),
 		state:      statePending,
 		refs:       1,
@@ -275,7 +308,9 @@ func (c *Coordinator) enqueue(h memo.Hash, wire []byte) *distJob {
 }
 
 // release drops one reference per non-nil entry; an entry with no remaining
-// waiters leaves the board (later result posts for it count as late).
+// waiters leaves the board (later result posts for it count as late), and
+// the last entry naming a trace takes the trace's bytes with it (later
+// fetches of it answer 404).
 func (c *Coordinator) release(entries []*distJob) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -284,8 +319,14 @@ func (c *Coordinator) release(entries []*distJob) {
 			continue
 		}
 		e.refs--
-		if e.refs <= 0 {
-			delete(c.jobs, e.hash)
+		if e.refs > 0 {
+			continue
+		}
+		delete(c.jobs, e.hash)
+		if tr := e.trace; tr != nil {
+			if tr.refs--; tr.refs == 0 {
+				delete(c.traces, tr.hash)
+			}
 		}
 	}
 }
@@ -448,15 +489,20 @@ func (c *Coordinator) RunMissing(jobs []harness.Job, hashes []memo.Hash, localWo
 	out := make([]harness.JobResult, n)
 	entries := make([]*distJob, n)
 	var localOnly []int
+	encoded := make(map[*trace.Trace]*boardTrace)
 	for i := range jobs {
 		wire, err := harness.EncodeJob(jobs[i])
+		var tr *boardTrace
+		if err == nil && jobs[i].Engine != nil {
+			tr, err = encodeTrace(encoded, jobs[i].Engine.Trace)
+		}
 		if err != nil {
 			// Not wire-encodable (custom placement policy, no trace):
 			// coordinator-local by construction.
 			localOnly = append(localOnly, i)
 			continue
 		}
-		entries[i] = c.enqueue(hashes[i], wire)
+		entries[i] = c.enqueue(hashes[i], wire, tr)
 	}
 	defer c.release(entries)
 
@@ -529,6 +575,22 @@ func (c *Coordinator) RunMissing(jobs []harness.Job, hashes []memo.Hash, localWo
 	return out
 }
 
+// encodeTrace serializes and hashes tr once per RunMissing call: the jobs of
+// one phase share trace pointers, so a phase encodes each distinct trace
+// once however many jobs name it.
+func encodeTrace(encoded map[*trace.Trace]*boardTrace, tr *trace.Trace) (*boardTrace, error) {
+	if bt := encoded[tr]; bt != nil {
+		return bt, nil
+	}
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		return nil, err
+	}
+	bt := &boardTrace{hash: sha256.Sum256(buf.Bytes()), raw: buf.Bytes()}
+	encoded[tr] = bt
+	return bt, nil
+}
+
 // ---- HTTP handlers ----
 
 // leaseRequest is the wire form of a lease poll.
@@ -541,13 +603,16 @@ type leaseRequest struct {
 }
 
 // leaseWire is one granted lease: the job's content hash, the lease id to
-// quote on the result post, the deadline, and the wire-encoded job
-// (base64 in JSON; gzip on the HTTP layer keeps the bytes small).
+// quote on the result post, the deadline, the job's config-only PIFSJOB2
+// wire (base64 in JSON), and for an engine job the hex content hash of its
+// trace, whose PIFSTRC1 bytes the worker fetches from /v1/traces/{hash}
+// unless its cache holds them. Trace is empty for numa jobs.
 type leaseWire struct {
 	Lease uint64 `json:"lease"`
 	Hash  string `json:"hash"`
 	TTLMS int64  `json:"ttl_ms"`
 	Job   []byte `json:"job"`
+	Trace string `json:"trace,omitempty"`
 }
 
 const (
@@ -622,6 +687,9 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			Hash:  e.hash.Hex(),
 			TTLMS: c.cfg.LeaseTTL.Milliseconds(),
 			Job:   e.wire,
+		}
+		if e.trace != nil {
+			out[i].Trace = e.trace.hash.Hex()
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"leases": out})
@@ -707,6 +775,29 @@ func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 	}
 	c.failLease(h, leaseID)
 	writeJSON(w, http.StatusOK, map[string]string{"status": "returned"})
+}
+
+// handleTrace answers GET /v1/traces/{hash} with the PIFSTRC1 bytes of a
+// trace an entry on the board names; an unknown or released hash is 404.
+func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		return
+	}
+	h, err := parseHash(strings.TrimPrefix(r.URL.Path, "/v1/traces/"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "trace fetch: %v", err)
+		return
+	}
+	c.mu.Lock()
+	tr := c.traces[h]
+	c.mu.Unlock()
+	if tr == nil {
+		writeError(w, http.StatusNotFound, "no in-flight job names trace %s", h.Hex()[:12])
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(tr.raw)
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -39,10 +39,17 @@ func referenceTable(t *testing.T, id string) []byte {
 // on cleanup.
 func distServer(t *testing.T, cfg CoordinatorConfig) (*httptest.Server, *Coordinator) {
 	t.Helper()
+	return distServerWrapped(t, cfg, func(h http.Handler) http.Handler { return h })
+}
+
+// distServerWrapped is distServer with the service's handler wrapped, so a
+// test can tamper with or count what the coordinator serves.
+func distServerWrapped(t *testing.T, cfg CoordinatorConfig, wrap func(http.Handler) http.Handler) (*httptest.Server, *Coordinator) {
+	t.Helper()
 	c := NewCoordinator(cfg)
 	prevStore := harness.SetStore(memo.InMemory())
 	prevDist := c.Install()
-	srv := httptest.NewServer(Handler(Options{Coordinator: c}))
+	srv := httptest.NewServer(wrap(Handler(Options{Coordinator: c})))
 	t.Cleanup(func() {
 		srv.Close()
 		harness.SetStore(prevStore)
@@ -115,7 +122,7 @@ func getTable(t *testing.T, srv *httptest.Server, id string) []byte {
 // TestDistributedByteIdentity is the tentpole property: a sweep distributed
 // across a pull fleet produces byte-identical tables to a local run at every
 // worker count, and with the claim budget holding locals off, every job
-// completes remotely.
+// completes remotely. Once the sweep is done, the board serves no trace.
 func TestDistributedByteIdentity(t *testing.T) {
 	want := referenceTable(t, "fig12a")
 	jobs := len(harness.Jobs("fig12a"))
@@ -146,6 +153,9 @@ func TestDistributedByteIdentity(t *testing.T) {
 			}
 			if st.DuplicateMismatches != 0 {
 				t.Errorf("%d duplicate mismatches", st.DuplicateMismatches)
+			}
+			if n := traceTableLen(c); n != 0 {
+				t.Errorf("%d traces left in the table after the sweep", n)
 			}
 		})
 	}
@@ -380,7 +390,7 @@ func TestResultPostRobustness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.enqueue(h, wire)
+	c.enqueue(h, wire, nil)
 
 	post := func(hash string, body []byte) (int, string) {
 		t.Helper()

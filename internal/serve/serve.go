@@ -20,6 +20,8 @@
 //	POST /v1/jobs/result        worker push: CRC-framed result for a lease
 //	POST /v1/jobs/fail          worker push: return a lease unrun
 //	GET  /v1/jobs/status        job board + per-worker counters
+//	GET  /v1/traces/{hash}      worker pull: the PIFSTRC1 bytes of a trace
+//	                            a lease names (application/octet-stream)
 //
 // The JSON request bodies of /v1/simulate and /v1/jobs/lease are bounded at
 // maxRequestBytes (after gzip decoding); a larger body is answered 413.
@@ -33,9 +35,10 @@
 // shared with a concurrent identical request (all approximate under
 // concurrent requests — the counters are global).
 //
-// The HTTP layer compresses responses for clients that accept gzip and
-// accepts gzip-compressed request bodies, so multi-MB simulate sweeps and
-// result posts don't dominate on the wire.
+// The HTTP layer accepts gzip-compressed request bodies and, for clients
+// that accept gzip, compresses a response body of gzipThreshold (1 KiB) or
+// more with a pooled compressor; a shorter body goes out as written. Workers
+// compress their result posts by the same rule.
 package serve
 
 import (
@@ -47,6 +50,7 @@ import (
 	"log"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"pifsrec/internal/dlrm"
@@ -194,6 +198,7 @@ func Handler(o Options) http.Handler {
 	mux.HandleFunc("/v1/jobs/result", jobEndpoint(c, (*Coordinator).handleResult))
 	mux.HandleFunc("/v1/jobs/fail", jobEndpoint(c, (*Coordinator).handleFail))
 	mux.HandleFunc("/v1/jobs/status", jobEndpoint(c, (*Coordinator).handleStatus))
+	mux.HandleFunc("/v1/traces/", jobEndpoint(c, (*Coordinator).handleTrace))
 	var h http.Handler = withGzip(mux)
 	if o.Log != nil {
 		h = withRequestLog(o.Log, c, h)
@@ -248,38 +253,78 @@ func withDistHeaders(c *Coordinator, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// gzipResponseWriter compresses the response body. The Content-Encoding
-// header must be set before the status line goes out, so both WriteHeader
-// and the first Write arm the compressor; Content-Length is dropped (the
-// compressed size is unknown).
-type gzipResponseWriter struct {
-	http.ResponseWriter
-	gz *gzip.Writer
+// gzipThreshold is the body size from which a response, or a worker's
+// result post, is gzip-compressed. Shorter bodies (errors, empty lease
+// polls, small result frames) cost more CPU to compress than they save.
+const gzipThreshold = 1 << 10
+
+// gzipWriters pools compressors: a gzip.Writer carries about 800 KB of
+// deflate state, far more than the bodies it compresses here. getGzip
+// Resets one onto its destination; put it back after Close.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+
+func getGzip(w io.Writer) *gzip.Writer {
+	gz := gzipWriters.Get().(*gzip.Writer)
+	gz.Reset(w)
+	return gz
 }
 
-func (g *gzipResponseWriter) arm() {
-	if g.gz == nil {
-		g.Header().Set("Content-Encoding", "gzip")
-		g.Header().Del("Content-Length")
-		g.gz = gzip.NewWriter(g.ResponseWriter)
-	}
+// gzipResponseWriter compresses a response body of gzipThreshold bytes or
+// more. It holds back the status and the first bytes until it knows which
+// case applies: once the body reaches the threshold it sets
+// Content-Encoding, drops Content-Length (the compressed size is unknown)
+// and streams through a pooled compressor; a shorter body goes out as
+// written when Close runs.
+type gzipResponseWriter struct {
+	http.ResponseWriter
+	status int
+	head   []byte // body bytes held back while under the threshold
+	gz     *gzip.Writer
 }
 
 func (g *gzipResponseWriter) WriteHeader(code int) {
-	g.arm()
-	g.ResponseWriter.WriteHeader(code)
+	if g.status == 0 {
+		g.status = code
+	}
 }
 
 func (g *gzipResponseWriter) Write(p []byte) (int, error) {
-	g.arm()
+	if g.gz != nil {
+		return g.gz.Write(p)
+	}
+	if len(g.head)+len(p) < gzipThreshold {
+		g.head = append(g.head, p...)
+		return len(p), nil
+	}
+	g.Header().Set("Content-Encoding", "gzip")
+	g.Header().Del("Content-Length")
+	g.sendHeader()
+	g.gz = getGzip(g.ResponseWriter)
+	if _, err := g.gz.Write(g.head); err != nil {
+		return 0, err
+	}
+	g.head = nil
 	return g.gz.Write(p)
 }
 
+func (g *gzipResponseWriter) sendHeader() {
+	if g.status != 0 {
+		g.ResponseWriter.WriteHeader(g.status)
+	}
+}
+
+// Close sends a body shorter than the threshold as written, or ends the
+// compressed stream and returns its compressor to the pool.
 func (g *gzipResponseWriter) Close() error {
 	if g.gz == nil {
-		return nil
+		g.sendHeader()
+		_, err := g.ResponseWriter.Write(g.head)
+		return err
 	}
-	return g.gz.Close()
+	err := g.gz.Close()
+	gzipWriters.Put(g.gz)
+	g.gz = nil
+	return err
 }
 
 type gzipReadCloser struct {
@@ -292,8 +337,9 @@ func (g gzipReadCloser) Close() error {
 	return g.orig.Close()
 }
 
-// withGzip decompresses gzip request bodies and compresses responses for
-// clients that accept gzip (Go's default HTTP client does, transparently).
+// withGzip decompresses gzip request bodies and compresses responses of
+// gzipThreshold bytes or more for clients that accept gzip (Go's default
+// HTTP client does, transparently).
 func withGzip(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get("Content-Encoding") == "gzip" {
@@ -374,7 +420,8 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // maxRequestBytes bounds a JSON request body: a simulate sweep or a lease
 // request is a few hundred bytes per config, so 1 MiB is far past any
-// legitimate one.
+// legitimate one. Workers bound the lease responses they read by it too: a
+// full 16-job lease of config-only job wires is about 10 KB.
 const maxRequestBytes = 1 << 20
 
 // decodeRequest decodes r's JSON body into v, reading at most

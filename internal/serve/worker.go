@@ -4,17 +4,23 @@
 // cache first and simulates only jobs it has never seen), and posts
 // CRC-framed results back.
 //
-// The worker trusts nothing about the wire: every leased job is decoded,
-// its content hash recomputed from the DECODED form, and compared against
-// the hash it was leased under — a codec drift or corrupt lease turns into
-// a returned lease (the coordinator runs the job itself), never into a
-// result stored under the wrong key.
+// A lease names an engine job's trace by its content hash. The worker keeps
+// the traces it has checked in a bounded cache, so it fetches each trace
+// from the coordinator (GET /v1/traces/{hash}) once, not once per job.
+//
+// The worker trusts nothing about the wire: a fetched trace is used only
+// if its SHA-256 matches the name the lease gave it and it decodes as
+// PIFSTRC1, and every leased job is decoded, its trace attached, its
+// content hash recomputed from the DECODED form, and compared against the
+// hash it was leased under. A failed fetch, codec drift or corrupt lease
+// turns into a returned lease (the coordinator runs the job itself), never
+// into a result stored under the wrong key.
 package serve
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -26,6 +32,7 @@ import (
 
 	"pifsrec/internal/harness"
 	"pifsrec/internal/memo"
+	"pifsrec/internal/trace"
 )
 
 // WorkerConfig configures one pull worker.
@@ -76,23 +83,84 @@ func (w WorkerConfig) withDefaults() WorkerConfig {
 	return w
 }
 
+// Bounds on the traces a worker fetches and keeps, in PIFSTRC1 bytes. The
+// experiments' traces are tens of KB each (about 0.4 MB for the ten a full
+// sweep names), so both bounds only stop a broken coordinator.
+const (
+	maxTraceBytes   = 16 << 20 // one fetched trace
+	traceCacheBytes = 64 << 20 // every trace a worker keeps
+)
+
+// traceCache holds the traces a worker has fetched and checked, by content
+// hash, within a budget of PIFSTRC1 bytes; the oldest leave first to make
+// room. Only the worker loop touches it, so it needs no lock. The jobs that
+// run on a cached trace share it read-only.
+type traceCache struct {
+	budget, used int
+	byHash       map[memo.Hash]cachedTrace
+	order        []memo.Hash // insertion order, oldest first
+}
+
+type cachedTrace struct {
+	tr   *trace.Trace
+	size int
+}
+
+func newTraceCache(budget int) *traceCache {
+	return &traceCache{budget: budget, byHash: make(map[memo.Hash]cachedTrace)}
+}
+
+// add keeps tr, whose PIFSTRC1 form is size bytes, evicting the oldest
+// traces until it fits. A trace larger than the whole budget is not kept.
+func (c *traceCache) add(h memo.Hash, tr *trace.Trace, size int) {
+	if _, ok := c.byHash[h]; ok || size > c.budget {
+		return
+	}
+	for c.used+size > c.budget {
+		old := c.order[0]
+		c.order = c.order[1:]
+		c.used -= c.byHash[old].size
+		delete(c.byHash, old)
+	}
+	c.byHash[h] = cachedTrace{tr: tr, size: size}
+	c.order = append(c.order, h)
+	c.used += size
+}
+
+// worker is one RunWorker loop's state.
+type worker struct {
+	cfg    WorkerConfig
+	base   string
+	client *http.Client
+	traces *traceCache
+}
+
+func newWorker(cfg WorkerConfig) *worker {
+	cfg = cfg.withDefaults()
+	return &worker{
+		cfg:  cfg,
+		base: strings.TrimRight(cfg.Coordinator, "/"),
+		// One client for the whole loop: connection reuse (keep-alive)
+		// makes the lease/result round-trips cheap, and the transport
+		// transparently asks for and decompresses gzip responses.
+		client: &http.Client{},
+		traces: newTraceCache(traceCacheBytes),
+	}
+}
+
+func (w *worker) logf(format string, args ...any) {
+	if w.cfg.Log != nil {
+		w.cfg.Log.Printf(format, args...)
+	}
+}
+
 // RunWorker pull-loops against the coordinator until ctx ends (or MaxJobs
 // completions). Transient coordinator errors back off and retry; the only
 // error return is a context cancellation, so a fleet survives coordinator
 // restarts.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
-	cfg = cfg.withDefaults()
-	base := strings.TrimRight(cfg.Coordinator, "/")
-	// One client for the whole loop: connection reuse (keep-alive) makes
-	// the lease/result round-trips cheap, and the transport transparently
-	// asks for and decompresses gzip responses.
-	client := &http.Client{}
-	logf := func(format string, args ...any) {
-		if cfg.Log != nil {
-			cfg.Log.Printf(format, args...)
-		}
-	}
-	logf("worker %s: pulling from %s (cache: %s)", cfg.ID, base, storeDesc(cfg.Store))
+	w := newWorker(cfg)
+	w.logf("worker %s: pulling from %s (cache: %s)", w.cfg.ID, w.base, storeDesc(w.cfg.Store))
 
 	jobsDone := 0
 	backoff := 100 * time.Millisecond
@@ -100,9 +168,9 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		leases, err := requestLeases(ctx, client, base, cfg)
+		leases, err := w.requestLeases(ctx)
 		if err != nil {
-			logf("worker %s: lease poll failed: %v (retrying in %v)", cfg.ID, err, backoff)
+			w.logf("worker %s: lease poll failed: %v (retrying in %v)", w.cfg.ID, err, backoff)
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
@@ -118,10 +186,10 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			runLease(ctx, client, base, cfg, l, logf)
+			w.runLease(ctx, l)
 			jobsDone++
-			if cfg.MaxJobs > 0 && jobsDone >= cfg.MaxJobs {
-				logf("worker %s: done after %d jobs", cfg.ID, jobsDone)
+			if w.cfg.MaxJobs > 0 && jobsDone >= w.cfg.MaxJobs {
+				w.logf("worker %s: done after %d jobs", w.cfg.ID, jobsDone)
 				return nil
 			}
 		}
@@ -135,18 +203,21 @@ func storeDesc(st *memo.Store) string {
 	return st.Dir()
 }
 
-func requestLeases(ctx context.Context, client *http.Client, base string, cfg WorkerConfig) ([]leaseWire, error) {
+// requestLeases polls for leases. It reads at most maxRequestBytes of the
+// (gunzipped) response, far past a full 16-job lease of config-only wires;
+// a longer response fails the poll.
+func (w *worker) requestLeases(ctx context.Context) ([]leaseWire, error) {
 	body, _ := json.Marshal(leaseRequest{
-		Worker: cfg.ID,
-		Max:    cfg.LeaseMax,
-		WaitMS: cfg.Poll.Milliseconds(),
+		Worker: w.cfg.ID,
+		Max:    w.cfg.LeaseMax,
+		WaitMS: w.cfg.Poll.Milliseconds(),
 	})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/jobs/lease", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+"/v1/jobs/lease", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
+	resp, err := w.client.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -155,10 +226,17 @@ func requestLeases(ctx context.Context, client *http.Client, base string, cfg Wo
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 		return nil, fmt.Errorf("lease: status %d: %s", resp.StatusCode, strings.TrimSpace(string(b)))
 	}
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxRequestBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("lease: reading response: %w", err)
+	}
+	if len(raw) > maxRequestBytes {
+		return nil, fmt.Errorf("lease: response exceeds %d bytes", maxRequestBytes)
+	}
 	var out struct {
 		Leases []leaseWire `json:"leases"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(raw, &out); err != nil {
 		return nil, fmt.Errorf("lease: decoding response: %w", err)
 	}
 	return out.Leases, nil
@@ -166,83 +244,145 @@ func requestLeases(ctx context.Context, client *http.Client, base string, cfg Wo
 
 // runLease executes one leased job and posts the result (or returns the
 // lease on any local failure).
-func runLease(ctx context.Context, client *http.Client, base string, cfg WorkerConfig, l leaseWire, logf func(string, ...any)) {
+func (w *worker) runLease(ctx context.Context, l leaseWire) {
 	start := time.Now()
-	want, err := parseHash(l.Hash)
+	job, want, err := w.resolve(ctx, l)
 	if err != nil {
-		logf("worker %s: lease %d carries %v; returning", cfg.ID, l.Lease, err)
-		postFail(ctx, client, base, cfg.ID, l)
-		return
-	}
-	job, err := harness.DecodeJob(l.Job)
-	if err != nil {
-		logf("worker %s: lease %d (%s): undecodable job: %v; returning", cfg.ID, l.Lease, l.Hash[:12], err)
-		postFail(ctx, client, base, cfg.ID, l)
-		return
-	}
-	got, err := job.Hash()
-	if err != nil || got != want {
-		// The decoded job does not reproduce the leased identity: codec
-		// drift or a mixed-version fleet. Running it would compute SOME
-		// result, but not the one this hash names — refuse.
-		logf("worker %s: lease %d hash mismatch (want %s); returning", cfg.ID, l.Lease, l.Hash[:12])
-		postFail(ctx, client, base, cfg.ID, l)
+		w.logf("worker %s: lease %d (%.12s): %v; returning", w.cfg.ID, l.Lease, l.Hash, err)
+		w.postFail(ctx, l)
 		return
 	}
 
-	missesBefore := cfg.Store.Stats().Misses
-	res := cfg.Runner.RunJobsLocal(cfg.Store, []harness.Job{job})[0]
-	cached := cfg.Store.Stats().Misses == missesBefore
+	missesBefore := w.cfg.Store.Stats().Misses
+	res := w.cfg.Runner.RunJobsLocal(w.cfg.Store, []harness.Job{job})[0]
+	cached := w.cfg.Store.Stats().Misses == missesBefore
 
 	payload, err := harness.EncodeJobResult(res)
 	if err != nil {
-		logf("worker %s: lease %d (%s): encoding result: %v; returning", cfg.ID, l.Lease, l.Hash[:12], err)
-		postFail(ctx, client, base, cfg.ID, l)
+		w.logf("worker %s: lease %d (%s): encoding result: %v; returning", w.cfg.ID, l.Lease, l.Hash[:12], err)
+		w.postFail(ctx, l)
 		return
 	}
-	status, err := postResult(ctx, client, base, cfg.ID, l, memo.EncodeFrame(want, payload), cached)
+	status, err := w.postResult(ctx, l, memo.EncodeFrame(want, payload), cached)
 	how := "simulated"
 	if cached {
 		how = "cache hit"
 	}
 	if err != nil {
-		logf("worker %s: job %s %s in %v, but result post failed: %v", cfg.ID, l.Hash[:12], how, time.Since(start).Round(time.Millisecond), err)
+		w.logf("worker %s: job %s %s in %v, but result post failed: %v", w.cfg.ID, l.Hash[:12], how, time.Since(start).Round(time.Millisecond), err)
 		return
 	}
-	logf("worker %s: job %s %s in %v (%s)", cfg.ID, l.Hash[:12], how, time.Since(start).Round(time.Millisecond), status)
+	w.logf("worker %s: job %s %s in %v (%s)", w.cfg.ID, l.Hash[:12], how, time.Since(start).Round(time.Millisecond), status)
 }
 
-// gzipThreshold is the body size above which posts are gzip-compressed.
-// Result payloads are JSON counters (compresses ~4x); tiny ones aren't
-// worth the CPU.
-const gzipThreshold = 1 << 10
+// resolve rebuilds the job a lease names, its trace attached, and checks
+// that it reproduces the hash it was leased under.
+func (w *worker) resolve(ctx context.Context, l leaseWire) (harness.Job, memo.Hash, error) {
+	want, err := parseHash(l.Hash)
+	if err != nil {
+		return harness.Job{}, want, err
+	}
+	job, err := harness.DecodeJob(l.Job)
+	if err != nil {
+		return harness.Job{}, want, fmt.Errorf("undecodable job: %w", err)
+	}
+	if (job.Engine != nil) != (l.Trace != "") {
+		return harness.Job{}, want, fmt.Errorf("trace name %q does not fit the job's kind", l.Trace)
+	}
+	if job.Engine != nil {
+		if job.Engine.Trace, err = w.trace(ctx, l.Trace); err != nil {
+			return harness.Job{}, want, err
+		}
+	}
+	if got, err := job.Hash(); err != nil || got != want {
+		// The decoded job, trace attached, does not reproduce the leased
+		// identity: codec drift, a mixed-version fleet or a wrong trace.
+		// Running it would compute SOME result, but not the one this hash
+		// names — refuse.
+		return harness.Job{}, want, fmt.Errorf("hash mismatch (want %.12s)", l.Hash)
+	}
+	return job, want, nil
+}
 
-func postResult(ctx context.Context, client *http.Client, base, workerID string, l leaseWire, frame []byte, cached bool) (string, error) {
+// trace returns the trace a lease names by its hex content hash: from the
+// cache, or fetched from the coordinator and kept once its SHA-256 matches
+// the name and it decodes as PIFSTRC1.
+func (w *worker) trace(ctx context.Context, name string) (*trace.Trace, error) {
+	h, err := parseHash(name)
+	if err != nil {
+		return nil, fmt.Errorf("trace name: %w", err)
+	}
+	if c, ok := w.traces.byHash[h]; ok {
+		return c.tr, nil
+	}
+	raw, err := w.fetchTrace(ctx, name)
+	if err != nil {
+		return nil, err
+	}
+	if sum := sha256.Sum256(raw); sum != h {
+		return nil, fmt.Errorf("trace %.12s: fetched %d bytes hash to %x", name, len(raw), sum[:6])
+	}
+	tr, err := trace.Read(bytes.NewReader(raw))
+	if err != nil {
+		return nil, fmt.Errorf("trace %.12s: %w", name, err)
+	}
+	w.traces.add(h, tr, len(raw))
+	return tr, nil
+}
+
+// fetchTrace reads the bytes the coordinator serves for a trace name, at
+// most maxTraceBytes of them.
+func (w *worker) fetchTrace(ctx context.Context, name string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+"/v1/traces/"+name, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := w.client.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("trace fetch: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+		return nil, fmt.Errorf("trace fetch: status %d: %s", resp.StatusCode, strings.TrimSpace(string(b)))
+	}
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxTraceBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("trace fetch: %w", err)
+	}
+	if len(raw) > maxTraceBytes {
+		return nil, fmt.Errorf("trace fetch: body exceeds %d bytes", maxTraceBytes)
+	}
+	return raw, nil
+}
+
+func (w *worker) postResult(ctx context.Context, l leaseWire, frame []byte, cached bool) (string, error) {
 	cachedFlag := "0"
 	if cached {
 		cachedFlag = "1"
 	}
 	url := fmt.Sprintf("%s/v1/jobs/result?hash=%s&lease=%d&worker=%s&cached=%s",
-		base, l.Hash, l.Lease, workerID, cachedFlag)
+		w.base, l.Hash, l.Lease, w.cfg.ID, cachedFlag)
 	var body io.Reader = bytes.NewReader(frame)
-	encoding := ""
-	if len(frame) >= gzipThreshold {
+	gzipped := len(frame) >= gzipThreshold
+	if gzipped {
+		// Writes into a bytes.Buffer cannot fail.
 		var buf bytes.Buffer
-		gz := gzip.NewWriter(&buf)
-		if _, err := gz.Write(frame); err == nil && gz.Close() == nil {
-			body = &buf
-			encoding = "gzip"
-		}
+		gz := getGzip(&buf)
+		gz.Write(frame)
+		gz.Close()
+		gzipWriters.Put(gz)
+		body = &buf
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, body)
 	if err != nil {
 		return "", err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	if encoding != "" {
-		req.Header.Set("Content-Encoding", encoding)
+	if gzipped {
+		req.Header.Set("Content-Encoding", "gzip")
 	}
-	resp, err := client.Do(req)
+	resp, err := w.client.Do(req)
 	if err != nil {
 		return "", err
 	}
@@ -259,13 +399,13 @@ func postResult(ctx context.Context, client *http.Client, base, workerID string,
 	return out.Status, nil
 }
 
-func postFail(ctx context.Context, client *http.Client, base, workerID string, l leaseWire) {
-	url := fmt.Sprintf("%s/v1/jobs/fail?hash=%s&lease=%d&worker=%s", base, l.Hash, l.Lease, workerID)
+func (w *worker) postFail(ctx context.Context, l leaseWire) {
+	url := fmt.Sprintf("%s/v1/jobs/fail?hash=%s&lease=%d&worker=%s", w.base, l.Hash, l.Lease, w.cfg.ID)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, nil)
 	if err != nil {
 		return
 	}
-	if resp, err := client.Do(req); err == nil {
+	if resp, err := w.client.Do(req); err == nil {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}

@@ -178,9 +178,9 @@ func goldenTrace() *Trace {
 }
 
 // TestWriteGolden pins the PIFSTRC1 bytes of a fixed trace. Every trace
-// hash, memo key and job wire is derived from these bytes, so a change to
-// them must be deliberate (and bump memo.CodeVersion), never a side effect
-// of an encoder rewrite.
+// hash, memo key and trace a coordinator serves its workers is derived from
+// these bytes, so a change to them must be deliberate (and bump
+// memo.CodeVersion), never a side effect of an encoder rewrite.
 func TestWriteGolden(t *testing.T) {
 	const (
 		wantLen = 100
