@@ -35,6 +35,27 @@ import (
 	"pifsrec/internal/serve"
 )
 
+// Connection timeouts of the -serve listener. A client that never finishes
+// its headers or body, or leaves a connection idle, loses it after these.
+// There is no write timeout: a cold /v1/run answers only when its sweep
+// has finished, however long that takes.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveReadTimeout       = time.Minute
+	serveIdleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the -serve listener's server.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		ReadTimeout:       serveReadTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
+}
+
 func main() {
 	scheme := flag.String("scheme", "PIFS-Rec", "Pond, Pond+PM, BEACON, RecNMP, PIFS-Rec")
 	model := flag.String("model", "RMC4", "RMC1..RMC4 (Table I)")
@@ -93,7 +114,7 @@ func main() {
 		coord.Install()
 		lg.Printf("serving on %s (cache: %s; lease-ttl %v, claim-budget %v)",
 			*serveAddr, cacheDesc(*cacheDir), *leaseTTL, *claimBudget)
-		if err := http.ListenAndServe(*serveAddr, serve.Handler(serve.Options{Coordinator: coord, Log: lg})); err != nil {
+		if err := newServer(*serveAddr, serve.Handler(serve.Options{Coordinator: coord, Log: lg})).ListenAndServe(); err != nil {
 			fmt.Fprintln(os.Stderr, "pifssim:", err)
 			os.Exit(1)
 		}

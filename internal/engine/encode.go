@@ -33,13 +33,26 @@ var configMagic = [8]byte{'P', 'I', 'F', 'S', 'C', 'F', 'G', 0 + configEncodingV
 // so they are scheduling decisions, not inputs. The trace contributes its
 // content hash (trace.Trace.Hash), not its bytes.
 func (c Config) CanonicalBinary() ([]byte, error) {
+	var traceHash [32]byte
+	if c.Trace != nil { // a nil trace is fillDefaults' error
+		h, err := c.Trace.Hash()
+		if err != nil {
+			return nil, fmt.Errorf("engine: hashing trace: %w", err)
+		}
+		traceHash = h
+	}
+	return c.CanonicalBinaryWithTraceHash(traceHash)
+}
+
+// CanonicalBinaryWithTraceHash is the canonical encoder behind
+// CanonicalBinary, with the trace's content hash supplied by the caller
+// instead of computed: traceHash must be c.Trace.Hash(). A caller that
+// hashed a shared, never-modified trace once passes that hash for every
+// config over it; the encoding is byte-identical to CanonicalBinary's.
+func (c Config) CanonicalBinaryWithTraceHash(traceHash [32]byte) ([]byte, error) {
 	norm := c
 	if err := norm.fillDefaults(); err != nil {
 		return nil, err
-	}
-	traceHash, err := norm.Trace.Hash()
-	if err != nil {
-		return nil, fmt.Errorf("engine: hashing trace: %w", err)
 	}
 
 	b := make([]byte, 0, 256)

@@ -45,19 +45,24 @@ func scaledRMC4() dlrm.ModelConfig { return dlrm.RMC4().Scaled(64) }
 // pooling runs in the tens of rows per lookup.
 const benchBagSize = 32
 
-// traceMemo holds every trace traceFor has generated, by spec. It is a pure
-// cache of a deterministic function, so no caller can tell which call
-// filled it, and it needs no reset. Its keys come only from harness
-// constants, so it stays bounded: the full sweep uses 10 specs, about
-// 0.5 MB of traces.
+// traceMemo holds every trace traceFor has generated, by spec, and
+// traceHashes holds each one's content hash, computed once when traceFor
+// generated it, by trace pointer, so Job.Hash can use it without
+// re-serializing the trace. Both are pure caches of deterministic
+// functions, so no caller can tell which call filled them, and they need
+// no reset. Their keys come only from harness constants, so they stay
+// bounded: the full sweep uses 10 specs, about 0.5 MB of traces. A stored
+// hash is right only while nobody modifies the shared trace, which the
+// Jobs contract forbids.
 var (
-	traceMu   sync.Mutex
-	traceMemo = make(map[trace.Spec]*trace.Trace)
+	traceMu     sync.Mutex
+	traceMemo   = make(map[trace.Spec]*trace.Trace)
+	traceHashes sync.Map // *trace.Trace → [32]byte
 )
 
-// traceFor returns the standard trace for a model: generated by the first
-// call for its spec, under the lock so that no spec is generated twice, and
-// shared read-only by every later caller.
+// traceFor returns the standard trace for a model: generated and hashed by
+// the first call for its spec, under the lock so that no spec is generated
+// twice, and shared read-only by every later caller.
 func traceFor(kind trace.Kind, m dlrm.ModelConfig, batches int) *trace.Trace {
 	sp := trace.Spec{
 		Kind:         kind,
@@ -77,8 +82,23 @@ func traceFor(kind trace.Kind, m dlrm.ModelConfig, batches int) *trace.Trace {
 	if err != nil {
 		panic(err)
 	}
+	h, err := tr.Hash()
+	if err != nil {
+		panic(err)
+	}
+	traceHashes.Store(tr, h)
 	traceMemo[sp] = tr
 	return tr
+}
+
+// memoizedTraceHash returns the content hash traceFor stored for tr, or
+// ok=false when tr did not come from traceFor.
+func memoizedTraceHash(tr *trace.Trace) (h [32]byte, ok bool) {
+	v, ok := traceHashes.Load(tr)
+	if !ok {
+		return h, false
+	}
+	return v.([32]byte), true
 }
 
 // run executes one engine configuration, panicking on configuration errors

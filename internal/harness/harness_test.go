@@ -109,8 +109,8 @@ func TestTraceForSharedAndUnmutated(t *testing.T) {
 }
 
 // checkMemoizedTracesUnmutated fails the test if any trace in the traceFor
-// memo no longer hashes equal to a fresh generation of its spec, that is,
-// if some job modified a shared trace.
+// memo no longer hashes equal to a fresh generation of its spec or to the
+// hash stored beside it, that is, if some job modified a shared trace.
 func checkMemoizedTracesUnmutated(t *testing.T) {
 	t.Helper()
 	traceMu.Lock()
@@ -134,6 +134,14 @@ func checkMemoizedTracesUnmutated(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("memoized trace %+v was modified after generation", sp)
+		}
+		// Job.Hash keys every job over a memoized trace by the hash stored
+		// when it was generated, so a modified trace would also give those
+		// jobs wrong cache keys.
+		if stored, ok := memoizedTraceHash(tr); !ok {
+			t.Errorf("memoized trace %+v has no stored hash", sp)
+		} else if stored != got {
+			t.Errorf("memoized trace %+v no longer matches its stored hash", sp)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 
 	"pifsrec/internal/engine"
 	"pifsrec/internal/memo"
@@ -81,54 +82,90 @@ func describeType(b *strings.Builder, t reflect.Type, depth int) {
 // every entry.
 var codeSalt = memo.CodeVersion
 
+// keyPrefix is a Hasher that has folded a salt and the result schema, the
+// first 1 KB of every job key; jobs clone it rather than fold it again.
+type keyPrefix struct {
+	salt string
+	h    *memo.Hasher
+}
+
+// lastPrefix holds the prefix of the most recent salt: normally the only
+// one, since only tests change codeSalt.
+var lastPrefix atomic.Pointer[keyPrefix]
+
+// prefixFor returns a fresh Hasher that has folded salt and the result
+// schema, folding them only when the salt differs from the last call's.
+func prefixFor(salt string) *memo.Hasher {
+	p := lastPrefix.Load()
+	if p == nil || p.salt != salt {
+		h := memo.New(salt)
+		h.Str(resultSchema)
+		p = &keyPrefix{salt: salt, h: h}
+		lastPrefix.Store(p)
+	}
+	return p.h.Clone()
+}
+
 // Hash returns the job's content identity under the current code-version
 // salt: H(salt, result schema, canonical input encoding). Two jobs hash
 // equal exactly when the determinism gates guarantee they produce identical
-// results on this code version.
+// results on this code version. An engine job over a trace from traceFor
+// uses the hash stored with that trace; any other trace (a worker's fetched
+// copy, a /v1/simulate body, a fresh trace.Generate) is hashed in full. The
+// key is the same either way.
 func (j Job) Hash() (memo.Hash, error) {
 	return j.hashSalted(codeSalt)
 }
 
 func (j Job) hashSalted(salt string) (memo.Hash, error) {
-	h := memo.New(salt)
-	h.Str(resultSchema)
+	h := prefixFor(salt)
 	switch {
 	case j.Engine != nil && j.Numa == nil:
 		h.Str("engine")
-		b, err := j.Engine.CanonicalBinary()
+		var b []byte
+		var err error
+		if th, ok := memoizedTraceHash(j.Engine.Trace); ok {
+			b, err = j.Engine.CanonicalBinaryWithTraceHash(th)
+		} else {
+			b, err = j.Engine.CanonicalBinary()
+		}
 		if err != nil {
 			return memo.Hash{}, err
 		}
 		h.Bytes(b)
 	case j.Numa != nil && j.Engine == nil:
-		n := j.Numa
-		model := n.Model
-		if model == "" {
-			model = numasim.ModelAnalytic // RunModel's own defaulting
-		}
-		h.Str("numa")
-		h.Str(string(model))
-		p := n.Platform
-		h.F64(p.LocalGBs)
-		h.F64(p.RemoteGBs)
-		h.F64(p.InterconnectGBs)
-		h.F64(p.CXLGBs)
-		h.F64(p.LocalLatNS)
-		h.F64(p.RemoteLatNS)
-		h.F64(p.CXLLatNS)
-		w := n.Workload
-		h.I64(int64(w.Threads))
-		h.I64(int64(w.EmbDim))
-		h.I64(w.TableSize)
-		h.I64(int64(w.Tables))
-		h.I64(int64(w.BatchSize))
-		h.Str(string(w.Threading))
-		h.F64(w.RemoteShare)
-		h.Str(string(n.Placement))
+		j.Numa.fold(h)
 	default:
 		return memo.Hash{}, fmt.Errorf("harness: job must set exactly one of Engine/Numa")
 	}
 	return h.Sum(), nil
+}
+
+// fold folds the numasim job's identity into a job key.
+func (n *NumaJob) fold(h *memo.Hasher) {
+	model := n.Model
+	if model == "" {
+		model = numasim.ModelAnalytic // RunModel's own defaulting
+	}
+	h.Str("numa")
+	h.Str(string(model))
+	p := n.Platform
+	h.F64(p.LocalGBs)
+	h.F64(p.RemoteGBs)
+	h.F64(p.InterconnectGBs)
+	h.F64(p.CXLGBs)
+	h.F64(p.LocalLatNS)
+	h.F64(p.RemoteLatNS)
+	h.F64(p.CXLLatNS)
+	w := n.Workload
+	h.I64(int64(w.Threads))
+	h.I64(int64(w.EmbDim))
+	h.I64(w.TableSize)
+	h.I64(int64(w.Tables))
+	h.I64(int64(w.BatchSize))
+	h.Str(string(w.Threading))
+	h.F64(w.RemoteShare)
+	h.Str(string(n.Placement))
 }
 
 // EncodeJobResult serializes a result for the cache and the distribution
@@ -213,11 +250,13 @@ func SetDistributor(d Distributor) Distributor {
 }
 
 // RunJobs executes a job list and returns results in submission order.
-// With a store installed (SetStore) it simulates only the cache misses —
-// in parallel across the pool, or through the installed Distributor — and
-// backfills the cache; without one it degenerates to the plain parallel
-// sweep. Either way the result slice is identical: memoization and
-// distribution are invisible except in wall-clock and counters.
+// With a store installed (SetStore) it computes every job's key and decodes
+// every hit across the pool, reads the store in one serial loop, simulates
+// only the cache misses — in parallel across the pool, or through the
+// installed Distributor — and backfills the cache; without one it
+// degenerates to the plain parallel sweep. Either way the result slice is
+// identical: memoization and distribution are invisible except in
+// wall-clock and counters.
 func (r *Runner) RunJobs(jobs []Job) []JobResult {
 	return r.runJobs(memoStore, distributor, jobs)
 }
@@ -235,23 +274,40 @@ func (r *Runner) runJobs(st *memo.Store, dist Distributor, jobs []Job) []JobResu
 		r.Do(len(jobs), func(i int) { out[i] = execJob(jobs[i]) })
 		return out
 	}
+	// Keys and decodes are CPU work and run across the pool. The store
+	// reads stay in one loop in index order, so every store counter,
+	// including which reads the LRU answers, is the same at every width.
 	hashes := make([]memo.Hash, len(jobs))
-	miss := make([]int, 0, len(jobs))
-	for i := range jobs {
+	r.Do(len(jobs), func(i int) {
 		h, err := jobs[i].Hash()
 		if err != nil {
 			panic(err) // harness configs are code, not user input
 		}
 		hashes[i] = h
-		if payload, ok := st.Get(h); ok {
-			if res, derr := DecodeJobResult(payload); derr == nil {
-				out[i] = res
-				continue
-			}
+	})
+	payloads := make([][]byte, len(jobs))
+	hit := make([]bool, len(jobs))
+	for i, h := range hashes {
+		payloads[i], hit[i] = st.Get(h)
+	}
+	r.Do(len(jobs), func(i int) {
+		if !hit[i] {
+			return
+		}
+		res, err := DecodeJobResult(payloads[i])
+		if err != nil {
 			// A framed, checksummed entry that fails to decode should be
 			// impossible; treat it as a miss all the same.
+			hit[i] = false
+			return
 		}
-		miss = append(miss, i)
+		out[i] = res
+	})
+	miss := make([]int, 0, len(jobs))
+	for i := range jobs {
+		if !hit[i] {
+			miss = append(miss, i)
+		}
 	}
 	if dist != nil && len(miss) > 0 {
 		missJobs := make([]Job, len(miss))
@@ -318,7 +374,8 @@ func (r *Runner) runSpec(sp spec) *report.Table {
 //
 // The returned jobs share their traces with every other job built on the
 // same trace spec, in this and every later call. A caller that changes a
-// job copies its engine.Config first and never modifies Trace.Bags.
+// job copies its engine.Config first and never modifies Trace.Bags: the
+// hash stored with a shared trace keys every job over it.
 func Jobs(id string) []Job {
 	sp, ok := specs()[id]
 	if !ok || len(sp.phases) == 0 {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -284,5 +285,177 @@ func TestJobsAPI(t *testing.T) {
 	}
 	if _, err := (Job{}).Hash(); err == nil {
 		t.Error("empty job hashed without error")
+	}
+}
+
+// referenceJobKey is a job's key built the long way: a fresh Hasher over
+// the salt and the result schema, then, for an engine job, the full
+// CanonicalBinary, which serializes and hashes the whole trace. Job.Hash
+// must produce exactly this key while it clones a prefix folded once per
+// salt and reuses the hash stored with a memoized trace.
+func referenceJobKey(t *testing.T, j Job) memo.Hash {
+	t.Helper()
+	h := memo.New(codeSalt)
+	h.Str(resultSchema)
+	switch {
+	case j.Engine != nil:
+		b, err := j.Engine.CanonicalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Str("engine")
+		h.Bytes(b)
+	case j.Numa != nil:
+		j.Numa.fold(h)
+	default:
+		t.Fatal("empty job")
+	}
+	return h.Sum()
+}
+
+// TestJobHashMatchesFullTraceHash holds Job.Hash to referenceJobKey on
+// every first-phase job of every experiment, on each fig13a job edited as
+// the benchmark's edits are (config copied, Seed changed, trace shared),
+// and on a job over a fresh generation of a memoized trace spec, which has
+// the same bytes behind another pointer and so no stored hash.
+func TestJobHashMatchesFullTraceHash(t *testing.T) {
+	key := func(name string, j Job) memo.Hash {
+		t.Helper()
+		got, err := j.Hash()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := referenceJobKey(t, j); got != want {
+			t.Errorf("%s: key %s, want %s", name, got.Hex()[:12], want.Hex()[:12])
+		}
+		return got
+	}
+	n := 0
+	for _, id := range IDs() {
+		for i, j := range Jobs(id) {
+			key(fmt.Sprintf("%s job %d", id, i), j)
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("no experiment has first-phase jobs")
+	}
+	t.Logf("%d first-phase jobs checked", n)
+
+	jobs := Jobs("fig13a")
+	for i, j := range jobs {
+		cfg := *j.Engine
+		cfg.Seed = 1000 + uint64(i)
+		if key(fmt.Sprintf("edited fig13a job %d", i), Job{Engine: &cfg}) == key(fmt.Sprintf("fig13a job %d", i), j) {
+			t.Errorf("editing fig13a job %d's seed kept its key", i)
+		}
+	}
+
+	shared := jobs[0].Engine.Trace
+	var sp trace.Spec
+	found := false
+	traceMu.Lock()
+	for s, tr := range traceMemo {
+		if tr == shared {
+			sp, found = s, true
+		}
+	}
+	traceMu.Unlock()
+	if !found {
+		t.Fatal("fig13a job 0's trace is not memoized")
+	}
+	fresh, err := trace.Generate(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := memoizedTraceHash(fresh); ok {
+		t.Fatal("a freshly generated trace has a stored hash")
+	}
+	cfg := *jobs[0].Engine
+	cfg.Trace = fresh
+	if key("job over a fresh trace", Job{Engine: &cfg}) != key("job over the memoized trace", jobs[0]) {
+		t.Error("a job over a fresh generation of a memoized spec keys differently from the memoized one")
+	}
+}
+
+// TestWarmLookupsMatchSerial pins what the pooled key and decode path does
+// to the store. fig5 (numasim jobs, some repeated within one call), fig12a
+// and latency-knee (3 phases) run cold into a fresh directory, then warm
+// through a second memo.Open of it, first at pool width 1 and then at
+// width 4 on another directory. The tables must be byte-identical across
+// widths, and every Stats counter equal between widths after each pass:
+// store reads happen in job order at any width, so the same reads reach
+// disk and the same ones hit the memory cache. fig5's repeats sit far
+// apart, where even unordered reads would seldom overlap, so a third pass
+// through another memo.Open runs fig5's jobs each twice in a row: a read
+// that raced its twin would go to disk twice.
+func TestWarmLookupsMatchSerial(t *testing.T) {
+	ids := []string{"fig5", "fig12a", "latency-knee"}
+	fig5 := Jobs("fig5")
+	distinct := make(map[memo.Hash]bool, len(fig5))
+	twins := make([]Job, 0, 2*len(fig5))
+	for _, j := range fig5 {
+		h, err := j.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct[h] = true
+		twins = append(twins, j, j)
+	}
+	if len(distinct) == len(fig5) {
+		t.Fatal("fig5 no longer repeats a job within one call")
+	}
+
+	type pass struct {
+		out   string
+		stats memo.Stats
+	}
+	sweep := func(width int) []pass {
+		dir := t.TempDir()
+		r := NewRunner(width)
+		run := func(body func(b *strings.Builder)) pass {
+			st, err := memo.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev := SetStore(st)
+			defer SetStore(prev)
+			var b strings.Builder
+			body(&b)
+			return pass{b.String(), st.Stats()}
+		}
+		tables := func(b *strings.Builder) {
+			for _, id := range ids {
+				r.runSpec(specs()[id]).Fprint(b)
+			}
+		}
+		return []pass{run(tables), run(tables), run(func(b *strings.Builder) {
+			for _, res := range r.RunJobs(twins) {
+				p, err := EncodeJobResult(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.Write(p)
+			}
+		})}
+	}
+	serial, wide := sweep(1), sweep(4)
+	cold, warm := serial[0], serial[1]
+	if cold.stats.Misses == 0 || warm.stats.Misses != 0 || serial[2].stats.Misses != 0 {
+		t.Fatalf("serial passes missed %d, %d and %d times; want some, then none", cold.stats.Misses, warm.stats.Misses, serial[2].stats.Misses)
+	}
+	if warm.stats.MemHits == 0 || warm.stats.GetBytes == 0 {
+		t.Fatalf("serial warm pass: %+v; want reads from disk and from memory", warm.stats)
+	}
+	if warm.out != cold.out {
+		t.Error("warm tables differ from cold tables")
+	}
+	for i, name := range []string{"cold", "warm", "twin"} {
+		if wide[i].out != serial[i].out {
+			t.Errorf("%s pass: width-4 output differs from width-1 output", name)
+		}
+		if wide[i].stats != serial[i].stats {
+			t.Errorf("%s pass: width-4 store counters %+v, want the width-1 %+v", name, wide[i].stats, serial[i].stats)
+		}
 	}
 }

@@ -17,6 +17,7 @@ package memo
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
@@ -53,6 +54,22 @@ func New(salt string) *Hasher {
 	hs := &Hasher{h: sha256.New()}
 	hs.Str(salt)
 	return hs
+}
+
+// Clone returns an independent Hasher that has folded everything hs has:
+// folding into either one leaves the other's Sum unchanged. Clone only
+// reads hs, so goroutines may clone one shared Hasher concurrently, which
+// is how the harness folds its per-salt key prefix once for every job.
+func (hs *Hasher) Clone() *Hasher {
+	state, err := hs.h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic("memo: marshaling SHA-256 state: " + err.Error())
+	}
+	c := sha256.New()
+	if err := c.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
+		panic("memo: restoring SHA-256 state: " + err.Error())
+	}
+	return &Hasher{h: c}
 }
 
 func (hs *Hasher) tag(t byte) { hs.h.Write([]byte{t}) }

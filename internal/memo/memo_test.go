@@ -3,6 +3,7 @@ package memo
 import (
 	"bytes"
 	"os"
+	"sync"
 	"testing"
 )
 
@@ -35,6 +36,66 @@ func TestHasherInjective(t *testing.T) {
 	}
 	if sum(func(h *Hasher) { h.Str("x") }) != sum(func(h *Hasher) { h.Str("x") }) {
 		t.Error("identical inputs hash differently")
+	}
+}
+
+// TestHasherClone pins Clone: a clone continues from its original's state,
+// as a fresh Hasher folding the same fields would; the two then fold
+// independently; and concurrent clones of one shared prefix agree.
+func TestHasherClone(t *testing.T) {
+	fields := func(h *Hasher) {
+		h.Str("engine")
+		h.Bytes([]byte{1, 2, 3})
+		h.U64(7)
+		h.I64(-7)
+		h.F64(0.125)
+		h.Bool(true)
+	}
+	prefix := New("salt")
+	prefix.Str("schema")
+	before := prefix.Sum()
+
+	c := prefix.Clone()
+	fields(c)
+	fresh := New("salt")
+	fresh.Str("schema")
+	fields(fresh)
+	if c.Sum() != fresh.Sum() {
+		t.Error("a clone that folds fields sums differently from a fresh hasher folding the same fields")
+	}
+	if prefix.Sum() != before {
+		t.Error("folding into a clone changed the original's Sum")
+	}
+	if prefix.Clone().Sum() != before {
+		t.Error("an unfolded clone sums differently from its original")
+	}
+	prefix.Str("later")
+	if c.Sum() != fresh.Sum() {
+		t.Error("folding into the original changed an earlier clone's Sum")
+	}
+
+	shared := New("salt")
+	shared.Str("schema")
+	const cloners = 8
+	got := make([]Hash, cloners)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			h := shared.Clone()
+			fields(h)
+			got[i] = h.Sum()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, g := range got {
+		if g != fresh.Sum() {
+			t.Errorf("concurrent clone %d sums %s, want %s", i, g.Hex()[:12], fresh.Sum().Hex()[:12])
+		}
 	}
 }
 

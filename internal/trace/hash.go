@@ -8,10 +8,12 @@ import "crypto/sha256"
 // same as the generated trace it was saved from — the property the result
 // cache's (config, trace, code-version) keys rely on.
 //
-// Nothing caches the hash, which keeps Trace free of hidden mutable state:
-// each call re-serializes the trace through Write into SHA-256, and every
-// harness Job.Hash (through engine.Config.CanonicalBinary) makes one call.
-// Write hands SHA-256 one bag per call, so BenchmarkTraceHash, over the
+// Trace does not cache the hash, which keeps it free of hidden mutable
+// state: each call re-serializes the trace through Write into SHA-256.
+// engine.Config.CanonicalBinary makes one call per config. The harness
+// instead hashes each trace it generates once, keeps the hash beside the
+// shared trace, and passes it to engine.Config.CanonicalBinaryWithTraceHash
+// for every job over that trace. Write hands SHA-256 one bag per call, so BenchmarkTraceHash, over the
 // latency experiments' 1024-bag, 187 KB trace, runs in about 0.2 ms on a
 // 2-vCPU Xeon, nearly all of it in SHA-256.
 func (t *Trace) Hash() ([32]byte, error) {
