@@ -94,18 +94,34 @@ func BenchmarkSchemes(b *testing.B) {
 // Substrate micro-benchmarks.
 
 // BenchmarkEngineSchedule measures steady-state event kernel throughput: a
-// pool of self-rescheduling timers with mixed near (calendar ring) and far
-// (heap) periods, one schedule per fire. Allocs/op must be 0 once the arena
-// is warm.
+// pool of self-rescheduling timers, one schedule per fire. In the dense case
+// the periods mix near (calendar ring, 1-13 ticks) and far (heap) timers, so
+// nearly every tick holds an event. In the sparse case the periods span
+// 200-4000 ticks, all inside the ring, so about 20 empty ticks separate
+// consecutive events and finding the next one is most of the work.
+// Allocs/op must be 0 once the arena is warm.
 func BenchmarkEngineSchedule(b *testing.B) {
+	b.Run("dense", func(b *testing.B) {
+		benchTimers(b, func(k int) sim.Tick {
+			if k%8 == 0 {
+				return 5000 + sim.Tick(k) // beyond the ring horizon: heap path
+			}
+			return sim.Tick(1 + k%13)
+		})
+	})
+	b.Run("sparse", func(b *testing.B) {
+		benchTimers(b, func(k int) sim.Tick { return 200 + sim.Tick(k)*3800/63 })
+	})
+}
+
+// benchTimers runs 64 self-rescheduling timers, timer k with period(k),
+// until b.N events have fired.
+func benchTimers(b *testing.B, period func(k int) sim.Tick) {
 	eng := sim.NewEngine()
 	remaining := b.N
 	const timers = 64
 	for k := 0; k < timers; k++ {
-		period := sim.Tick(1 + k%13)
-		if k%8 == 0 {
-			period = 5000 + sim.Tick(k) // beyond the ring horizon: heap path
-		}
+		period := period(k)
 		var fn func()
 		fn = func() {
 			remaining--
@@ -183,9 +199,9 @@ func (k *heapKernel) step() bool {
 	return true
 }
 
-// BenchmarkEngineScheduleHeapBaseline runs the identical timer workload on
-// the container/heap kernel this repository used before the calendar queue;
-// the ratio to BenchmarkEngineSchedule is the kernel speedup.
+// BenchmarkEngineScheduleHeapBaseline runs the dense timer workload on the
+// container/heap kernel this repository used before the calendar queue; the
+// ratio to BenchmarkEngineSchedule/dense is the kernel speedup.
 func BenchmarkEngineScheduleHeapBaseline(b *testing.B) {
 	k := &heapKernel{}
 	remaining := b.N

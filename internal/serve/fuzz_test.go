@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
+	"time"
 
+	"pifsrec/internal/engine"
 	"pifsrec/internal/harness"
 	"pifsrec/internal/memo"
 	"pifsrec/internal/trace"
@@ -156,6 +160,111 @@ func FuzzTraceFetch(f *testing.F) {
 		}
 		if fails+results != 1 || (results == 1) != own {
 			t.Fatalf("usable=%v own=%v: %d fail posts, %d result posts", usable, own, fails, results)
+		}
+	})
+}
+
+// FuzzSimulateRequest throws arbitrary bodies at the /v1/simulate decoding
+// path: decodeRequest, then ConfigSpec.config for each of at most
+// maxSimulateConfigs configs (the handler refuses longer lists before
+// building any). Each step must end in an error (400 or 413 from the
+// decoder) or a config within ConfigSpec's documented bounds, never a
+// panic. The simulations themselves are not run.
+func FuzzSimulateRequest(f *testing.F) {
+	f.Add([]byte(`{"configs":[{}]}`))
+	f.Add([]byte(`{"configs":[{"scheme":"pond","model":"RMC1","scale":4096,"trace":"uniform","batches":1,"devices":2,"switches":1,"hosts":1,"seed":3}]}`))
+	f.Add([]byte(`{"configs":[{"devices":65},{"hosts":-1},{"batches":64,"switches":32}]}`))
+	f.Add([]byte(`{"configs":[{"switches":33},{"scale":-1},{"scale":9223372036854775807}]}`))
+	f.Add([]byte(`{"configs":[{"scheme":"nope"},{"model":"RMC9"},{"trace":"bogus"}]}`))
+	f.Add([]byte(`{"configs":[{"local_fraction":-3,"buffer_bytes":-1}]}`))
+	f.Add([]byte(`{"configs":[{"devices":1e400}]}`))
+	f.Add([]byte(`{"configs":`))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest("POST", "/v1/simulate", bytes.NewReader(body))
+		var sr simulateRequest
+		if !decodeRequest(rec, req, &sr, "decoding request") {
+			if rec.Code != http.StatusBadRequest && rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("decode failure answered %d, want 400 or 413", rec.Code)
+			}
+			return
+		}
+		if len(sr.Configs) > maxSimulateConfigs {
+			return
+		}
+		for i, cs := range sr.Configs {
+			cfg, err := cs.config()
+			if err != nil {
+				continue
+			}
+			switch {
+			case cfg.Devices < 0 || cfg.Devices > maxSpecCount,
+				cfg.Hosts < 0 || cfg.Hosts > maxSpecCount,
+				cfg.Switches < 0 || cfg.Switches > maxSpecSwitches:
+				t.Fatalf("config %d: counts outside the bounds: devices %d, hosts %d, switches %d",
+					i, cfg.Devices, cfg.Hosts, cfg.Switches)
+			case !slices.Contains(engine.Schemes(), cfg.Scheme):
+				t.Fatalf("config %d: unknown scheme %q accepted", i, cfg.Scheme)
+			case cfg.Model.Validate() != nil:
+				t.Fatalf("config %d: invalid model accepted: %v", i, cfg.Model.Validate())
+			case cfg.Trace == nil || len(cfg.Trace.Bags) == 0 ||
+				len(cfg.Trace.Bags) > maxSpecCount*4*cfg.Model.Tables:
+				t.Fatalf("config %d: trace missing or outside the batch bound", i)
+			case cfg.Trace.Tables != cfg.Model.Tables || cfg.Trace.RowsPerTable != cfg.Model.EmbRows:
+				t.Fatalf("config %d: trace shape %dx%d does not match the model's %dx%d", i,
+					cfg.Trace.Tables, cfg.Trace.RowsPerTable, cfg.Model.Tables, cfg.Model.EmbRows)
+			case cfg.Seed == 0:
+				t.Fatalf("config %d: zero seed", i)
+			}
+		}
+	})
+}
+
+// FuzzLeaseRequest throws arbitrary bodies at the lease endpoint of a board
+// holding 0 to 39 pending jobs. The request carries a 20 ms deadline, so a
+// fuzzed wait_ms cannot stall the fuzzer: with nothing to lease, the
+// long-poll ends with the request. The answer must be 200 with at most
+// maxLeaseBatch leases (at least one when a job was pending), or 400 or
+// 413.
+func FuzzLeaseRequest(f *testing.F) {
+	f.Add([]byte(`{"worker":"w1","max":4,"wait_ms":0}`), uint8(3))
+	f.Add([]byte(`{"worker":"w1","max":400,"wait_ms":100000000}`), uint8(39))
+	f.Add([]byte(`{"max":-5,"wait_ms":-1}`), uint8(0))
+	f.Add([]byte(`{"wait_ms":9223372036854775807}`), uint8(0))
+	f.Add([]byte(`{"wait_ms":50}`), uint8(0))
+	f.Add([]byte(`{"worker":`), uint8(2))
+	f.Add([]byte(`[]`), uint8(1))
+	f.Fuzz(func(t *testing.T, body []byte, jobs uint8) {
+		c := NewCoordinator(CoordinatorConfig{})
+		pending := int(jobs % 40)
+		for i := 0; i < pending; i++ {
+			var h memo.Hash
+			h[0], h[1] = byte(i), 0xA5
+			c.enqueue(h, []byte("wire"), nil)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		req := httptest.NewRequest("POST", "/v1/jobs/lease", bytes.NewReader(body)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		c.handleLease(rec, req)
+		switch rec.Code {
+		case http.StatusOK:
+			var resp struct {
+				Leases []leaseWire `json:"leases"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("200 with an undecodable body: %v", err)
+			}
+			if n := len(resp.Leases); n > maxLeaseBatch || n > pending {
+				t.Fatalf("granted %d leases from %d pending jobs, limit %d", n, pending, maxLeaseBatch)
+			}
+			if pending > 0 && len(resp.Leases) == 0 {
+				t.Fatalf("granted no lease with %d jobs pending", pending)
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("lease request answered %d, want 200, 400 or 413", rec.Code)
 		}
 	})
 }

@@ -477,14 +477,17 @@ func handleRun(w http.ResponseWriter, r *http.Request) {
 	table.Fprint(w)
 }
 
+// simulateRequest is the body of a /v1/simulate request.
+type simulateRequest struct {
+	Configs []ConfigSpec `json:"configs"`
+}
+
 func handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	var req struct {
-		Configs []ConfigSpec `json:"configs"`
-	}
+	var req simulateRequest
 	if !decodeRequest(w, r, &req, "decoding request") {
 		return
 	}

@@ -5,7 +5,7 @@
 // coordinator schedules onto worker shards; components in the same group may
 // share state and call each other directly, components in different groups
 // interact only through mailbox messages. Because each group's event stream
-// is confined to its own engine and cross-group messages merge in a
+// is confined to its own engine and cross-group messages are delivered in a
 // placement-independent order, WHERE a group runs is a pure scheduling
 // decision: results are byte-identical for every placement and worker count.
 // Cross-group bookkeeping between windows belongs to the one barrier the

@@ -13,7 +13,11 @@
 //
 // The queue is a hybrid calendar/bucket queue: a ring of per-tick buckets
 // covers the near future (now .. now+ringHorizon), and a binary min-heap
-// keyed by (time, seq) holds far-future events. Events live in a pooled
+// keyed by (time, seq) holds far-future events. An occupancy bitmap beside
+// the ring has one bit per bucket, set while the bucket holds an event, so
+// finding the next event skips empty ticks 64 at a time: at most 65 words
+// from now's bucket, wrapping around the ring, whatever the gap to the next
+// event. Only buckets whose bit is set are ever read. Events live in a pooled
 // arena of value-typed nodes with free-list recycling, so steady-state
 // scheduling performs no heap allocation: At/After, firing, and Cancel all
 // reuse arena slots. Events with equal timestamps fire in the order they
@@ -24,6 +28,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Tick is a simulation timestamp in nanoseconds.
@@ -39,6 +44,9 @@ const MaxTick Tick = math.MaxInt64
 const ringHorizon Tick = 4096
 
 const ringMask = ringHorizon - 1
+
+// ringWords is the length of the occupancy bitmap in 64-bit words.
+const ringWords = int(ringHorizon / 64)
 
 // node states.
 const (
@@ -107,9 +115,12 @@ type Engine struct {
 
 	// Near-future calendar ring: heads/tails index bucket lists in the
 	// arena; every resident event has now <= at < now+ringHorizon, so each
-	// bucket holds at most one tick's events, appended in seq order.
-	heads     []int32
-	tails     []int32
+	// bucket holds at most one tick's events, appended in seq order. Bit s
+	// of occ is set while bucket s is nonempty; heads[s] and tails[s] are
+	// meaningful only then.
+	heads     [ringHorizon]int32
+	tails     [ringHorizon]int32
+	occ       [ringWords]uint64
 	ringCount int
 
 	heap []heapEntry
@@ -134,14 +145,7 @@ type envSlot struct {
 
 // NewEngine returns an empty engine positioned at tick zero.
 func NewEngine() *Engine {
-	e := &Engine{
-		heads: make([]int32, ringHorizon),
-		tails: make([]int32, ringHorizon),
-	}
-	for i := range e.heads {
-		e.heads[i] = -1
-		e.tails[i] = -1
-	}
+	e := &Engine{}
 	e.fnEnv = e.fireEnv
 	return e
 }
@@ -188,7 +192,7 @@ func (e *Engine) AtCall(t Tick, fn func(int32), arg int32) Event {
 
 // AtMsg schedules delivery of a mailbox envelope at env.At: the envelope
 // (and a copy of addrs) is staged in the engine's pooled envelope arena and
-// handed to h.HandleMsg when the event fires — the barrier merge writes
+// handed to h.HandleMsg when the event fires — the barrier writes
 // cross-shard messages straight into the destination's calendar with no
 // intermediate inbox. The envelope's Addrs passed to the handler alias the
 // pooled buffer; handlers copy what they keep.
@@ -257,10 +261,12 @@ func (e *Engine) schedule(t Tick, fn func(), fnc func(int32), arg int32) Event {
 		slot := int(t & ringMask)
 		n.sta = stateRing
 		n.next = -1
-		n.prev = e.tails[slot]
-		if n.prev >= 0 {
+		if w, b := slot>>6, uint64(1)<<(slot&63); e.occ[w]&b != 0 {
+			n.prev = e.tails[slot]
 			e.arena[n.prev].next = id
 		} else {
+			e.occ[w] |= b
+			n.prev = -1
 			e.heads[slot] = id
 		}
 		e.tails[slot] = id
@@ -304,7 +310,8 @@ func (e *Engine) Cancel(ev Event) {
 	e.free = append(e.free, ev.id)
 }
 
-// unlink removes a ring-resident node from its bucket list.
+// unlink removes a ring-resident node from its bucket list, clearing the
+// bucket's occupancy bit when it was the last node.
 func (e *Engine) unlink(id int32, n *node) {
 	slot := int(n.at & ringMask)
 	if n.prev >= 0 {
@@ -317,30 +324,47 @@ func (e *Engine) unlink(id int32, n *node) {
 	} else {
 		e.tails[slot] = n.prev
 	}
+	if n.prev < 0 && n.next < 0 {
+		e.occ[slot>>6] &^= uint64(1) << (slot & 63)
+	}
 	e.ringCount--
 }
 
+// ringOffset returns the distance in ticks from now to the first nonempty
+// bucket; the ring must hold at least one event. Every ring event lies in
+// [now, now+ringHorizon), so the first set bit at or after now's bucket,
+// wrapping around the ring, marks the earliest ring tick: the search reads
+// now's word from now's bit up, the 63 words after it, and finally now's
+// word again for the bits below now's.
+func (e *Engine) ringOffset() Tick {
+	s := int(e.now & ringMask)
+	w, b := s>>6, s&63
+	if x := e.occ[w] >> b; x != 0 {
+		return Tick(bits.TrailingZeros64(x))
+	}
+	for i := 1; i <= ringWords; i++ {
+		if x := e.occ[(w+i)&(ringWords-1)]; x != 0 {
+			return Tick(i*64 - b + bits.TrailingZeros64(x))
+		}
+	}
+	panic("sim: occupancy bitmap empty with events in the ring")
+}
+
 // findNext locates the earliest scheduled event by (time, seq) without
-// removing it. The bucket scan starts at now; the invariant that every ring
-// event lies within [now, now+ringHorizon) makes each bucket hold a single
-// tick, so the first nonempty bucket's head is the earliest ring event.
+// removing it: the earlier of the first nonempty bucket's head and the
+// heap's head, the lower seq on a tie.
 func (e *Engine) findNext() (int32, bool) {
 	hTime := MaxTick
 	if len(e.heap) > 0 {
 		hTime = e.heap[0].at
 	}
 	if e.ringCount > 0 {
-		end := e.now + ringHorizon // no overflow: now stays far below MaxTick-horizon while events pend
-		if hTime < end-1 {
-			end = hTime + 1
-		}
-		for t := e.now; t < end; t++ {
-			if h := e.heads[int(t&ringMask)]; h >= 0 {
-				if t == hTime && e.heap[0].seq < e.arena[h].seq {
-					return e.heap[0].id, true
-				}
-				return h, true
+		if t := e.now + e.ringOffset(); t <= hTime {
+			h := e.heads[t&ringMask]
+			if t == hTime && e.heap[0].seq < e.arena[h].seq {
+				return e.heap[0].id, true
 			}
+			return h, true
 		}
 	}
 	if len(e.heap) > 0 {

@@ -18,6 +18,22 @@ func (e *LookaheadError) Error() string {
 		e.Port, e.At, e.WindowEnd)
 }
 
+// PortOwnerError reports a Post on a port from a group other than the one
+// that first posted on it. A port's messages must all come from one outbox
+// for the barrier's port-order delivery to keep them in seq order, so a
+// shared port is a wiring bug. Outbox.Post panics with it;
+// ShardedEngine.RunChecked converts the panic into an ordinary error.
+type PortOwnerError struct {
+	Port  int32
+	Owner int32 // the group that first posted on the port
+	Group int32 // the group that posted on it since
+}
+
+func (e *PortOwnerError) Error() string {
+	return fmt.Sprintf("sim: group %d posted on port %d, which group %d owns — one sending group per port",
+		e.Group, e.Port, e.Owner)
+}
+
 // EventLimitError reports a group engine blowing through its configured
 // event budget — the runaway-simulation watchdog. Engine.fire panics with
 // it; ShardedEngine.RunChecked converts the panic into an ordinary error.
@@ -47,8 +63,9 @@ func (e *ElisionError) Error() string {
 }
 
 // RunChecked is Run with the engine-level watchdogs converted to errors: a
-// lookahead violation or event-limit blowout on any worker surfaces as a
-// structured error on the caller instead of killing the process. Panics
+// lookahead violation, an event-limit blowout, a failed elision check or a
+// post on another group's port, on any worker, surfaces as a structured
+// error on the caller instead of killing the process. Panics
 // that are not engine contract violations propagate unchanged.
 func (se *ShardedEngine) RunChecked() (end Tick, err error) {
 	defer func() {
@@ -59,6 +76,8 @@ func (se *ShardedEngine) RunChecked() (end Tick, err error) {
 			case *EventLimitError:
 				err = e
 			case *ElisionError:
+				err = e
+			case *PortOwnerError:
 				err = e
 			default:
 				panic(p)

@@ -3,10 +3,12 @@ package sim
 // Regression tests for the calendar-queue kernel: FIFO ordering across the
 // ring/heap boundary, cancellation in every structure, slot recycling, and a
 // randomized cross-check against a straightforward container/heap reference
-// scheduler (the organization the kernel replaced).
+// scheduler (the organization the kernel replaced), under dense traffic and
+// under sparse traffic that leaves most buckets and bitmap words empty.
 
 import (
 	"container/heap"
+	"math"
 	"testing"
 )
 
@@ -190,17 +192,38 @@ func (k *refKernel) after(d Tick, fn func()) func() {
 }
 
 func (k *refKernel) run() {
-	for len(k.queue) > 0 {
+	k.runUntil(MaxTick)
+}
+
+// runUntil mirrors Engine.RunUntil: fire everything due by deadline, then
+// advance the clock to it.
+func (k *refKernel) runUntil(deadline Tick) int {
+	n := 0
+	for len(k.queue) > 0 && k.queue[0].at <= deadline {
 		ev := heap.Pop(&k.queue).(*refEvent)
 		k.now = ev.at
 		ev.fn()
+		n++
 	}
+	if k.now < deadline {
+		k.now = deadline
+	}
+	return n
+}
+
+func (k *refKernel) nextTime() (Tick, bool) {
+	if len(k.queue) == 0 {
+		return 0, false
+	}
+	return k.queue[0].at, true
 }
 
 // scheduler abstracts the two kernels for the mirrored driver.
 type scheduler interface {
 	after(d Tick, fn func()) (cancel func())
 	nowTick() Tick
+	nextTime() (Tick, bool)
+	runUntil(deadline Tick) int
 	drain()
 }
 
@@ -210,13 +233,17 @@ func (s simSched) after(d Tick, fn func()) func() {
 	ev := s.e.After(d, fn)
 	return func() { s.e.Cancel(ev) }
 }
-func (s simSched) nowTick() Tick { return s.e.Now() }
-func (s simSched) drain()        { s.e.Run() }
+func (s simSched) nowTick() Tick              { return s.e.Now() }
+func (s simSched) nextTime() (Tick, bool)     { return s.e.NextTime() }
+func (s simSched) runUntil(deadline Tick) int { return s.e.RunUntil(deadline) }
+func (s simSched) drain()                     { s.e.Run() }
 
 type refSched struct{ k *refKernel }
 
 func (s refSched) after(d Tick, fn func()) func() { return s.k.after(d, fn) }
 func (s refSched) nowTick() Tick                  { return s.k.now }
+func (s refSched) nextTime() (Tick, bool)         { return s.k.nextTime() }
+func (s refSched) runUntil(deadline Tick) int     { return s.k.runUntil(deadline) }
 func (s refSched) drain()                         { s.k.run() }
 
 // exercise drives a kernel with a deterministic pseudo-random workload that
@@ -261,17 +288,86 @@ func exercise(s scheduler, seed uint64) []int64 {
 	return log
 }
 
-func TestEngineMatchesHeapReference(t *testing.T) {
-	for seed := uint64(1); seed <= 8; seed++ {
-		got := exercise(simSched{NewEngine()}, seed)
-		want := exercise(refSched{&refKernel{}}, seed)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(got), len(want))
+// sparseEdges are delays at the bitmap's word edges and the ring's end:
+// from an unaligned now they put the next event in now's own word, the
+// next word, or only in the wrap-around word (4095), or in the heap.
+var sparseEdges = []Tick{0, 1, 63, 64, 65, 127, 128, 4032, ringHorizon - 65,
+	ringHorizon - 64, ringHorizon - 63, ringHorizon - 1, ringHorizon, ringHorizon + 1}
+
+// exerciseSparse drives a kernel with sparse traffic: a few events at a
+// time, with delays anywhere in [0, ringHorizon+1000) and often at
+// sparseEdges, so the next event usually lies many empty buckets (and
+// bitmap words) ahead. After each scheduling burst it cancels the newest
+// event (usually alone in its bucket, so the cancel empties the bucket), a
+// random one or none, probes NextTime, and advances the clock with RunUntil
+// to a random deadline. The log holds each fired event's id and time, each
+// NextTime answer and each RunUntil count.
+func exerciseSparse(s scheduler, seed uint64) []int64 {
+	rng := NewRNG(seed)
+	delay := func() Tick {
+		if rng.Uint64()%3 == 0 {
+			return sparseEdges[rng.Uint64()%uint64(len(sparseEdges))]
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: divergence at event %d: got id/time %x, want %x",
-					seed, i, got[i], want[i])
+		return Tick(rng.Uint64() % uint64(ringHorizon+1000))
+	}
+	var log []int64
+	var cancels []func()
+	nextID := 0
+	budget := 1500
+	var fire func(id int) func()
+	fire = func(id int) func() {
+		return func() {
+			log = append(log, int64(id)<<32|int64(s.nowTick()&0xffffffff))
+			if budget > 0 && rng.Uint64()%2 == 0 {
+				budget--
+				cancels = append(cancels, s.after(delay(), fire(nextID)))
+				nextID++
+			}
+		}
+	}
+	for round := 0; round < 400; round++ {
+		for k := uint64(0); k <= rng.Uint64()%3; k++ {
+			cancels = append(cancels, s.after(delay(), fire(nextID)))
+			nextID++
+		}
+		switch rng.Uint64() % 3 {
+		case 0: // the newest event: usually alone in its bucket
+			cancels[len(cancels)-1]()
+		case 1:
+			cancels[rng.Uint64()%uint64(len(cancels))]()
+		}
+		if nt, ok := s.nextTime(); ok {
+			log = append(log, -1-nt)
+		} else {
+			log = append(log, math.MinInt64)
+		}
+		n := s.runUntil(s.nowTick() + delay())
+		log = append(log, math.MinInt64+1+int64(n))
+	}
+	s.drain()
+	return log
+}
+
+func TestEngineMatchesHeapReference(t *testing.T) {
+	drivers := []struct {
+		name string
+		run  func(scheduler, uint64) []int64
+	}{
+		{"dense", exercise},
+		{"sparse", exerciseSparse},
+	}
+	for _, d := range drivers {
+		for seed := uint64(1); seed <= 8; seed++ {
+			got := d.run(simSched{NewEngine()}, seed)
+			want := d.run(refSched{&refKernel{}}, seed)
+			if len(got) != len(want) {
+				t.Fatalf("%s seed %d: logged %d entries, reference logged %d", d.name, seed, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s seed %d: divergence at log entry %d: got %x, want %x",
+						d.name, seed, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -8,18 +8,29 @@
 // mailbox message whose delivery time is at least W past its send time, so
 // events inside one window on different groups are causally independent —
 // each group may run its slice of the window on any worker. At the barrier
-// the messages generated during the window are merged in a deterministic,
-// placement-independent order ((deliverAt, port, seq)) and written straight
-// into the destination group's calendar as envelope events.
+// the messages generated during the window are written straight into the
+// destination group's calendar as envelope events, and every destination
+// fires the envelopes of one tick in (port, seq) order, whatever the
+// placement.
+//
+// The barrier delivers in port order: a stable counting sort on the dense,
+// construction-ordered port ids, with no comparison sort. A port has one
+// owner group (Post panics with *PortOwnerError otherwise), so its messages
+// already sit in that group's outbox in seq order, and delivery is in
+// (port, seq) order overall. A calendar fires equal-tick events in the order
+// they were scheduled, and envelopes for different ticks never compete, so
+// every destination fires exactly as under a (deliverAt, port, seq) merge.
+// Nothing but the calendar observes the order of AtMsg calls: the envelope
+// slots it assigns are invisible to handlers.
 //
 // Placement — which worker runs which groups — is decided once, at the first
 // Run, by a PlacementPolicy over the static group weights (the components'
 // CostWeight declarations); the default is greedy cost-balanced bin-packing
 // (PlaceGroups). Each window runs the active groups on their placed workers.
-// Because a group's event stream is confined to its own engine and the merge
-// key never mentions placement, the token-event sequence each component
-// observes is identical whether its peers share its worker or run three
-// workers away. That is what lets callers pick any worker count AND any
+// Because a group's event stream is confined to its own engine and the
+// delivery order never mentions placement, the token-event sequence each
+// component observes is identical whether its peers share its worker or run
+// three workers away. That is what lets callers pick any worker count AND any
 // placement policy and get byte-identical results.
 //
 // All mailbox structures are pooled: outboxes are rings reset at each
@@ -31,7 +42,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"sort"
 )
 
 // Payload is the fixed-size value part of a cross-group message. The field
@@ -68,6 +78,9 @@ type outMsg struct {
 	aLen     int32
 }
 
+// msgRef locates a staged message: index i of group g's outbox.
+type msgRef struct{ g, i int32 }
+
 // outbox is one group's staging area for the current window. Single writer
 // (whichever worker runs the group this window — exclusive by the plan);
 // drained by the coordinator at the barrier.
@@ -100,13 +113,16 @@ type ShardedEngine struct {
 	comps   []Component // by endpoint (registration order)
 	barrier func(at Tick)
 
-	portSeq []uint32
-	curEnd  Tick // current window end; Post asserts deliveries land beyond it
+	portSeq   []uint32
+	portOwner []int32 // group that first posted on each port; -1 before
+	curEnd    Tick    // current window end; Post asserts deliveries land beyond it
 
-	merged    []int // indices into gather, reused
-	gather    []outMsg
-	gatherSrc []int32 // source group per gathered message (arena lookup)
-	inCount   []int32 // per-group incoming tally (envelope reservation)
+	// Barrier scratch, reused: portStart counts then prefix-sums each port's
+	// messages, order lists the staged messages in port order, and inCount
+	// tallies each group's incoming envelopes (envelope reservation).
+	portStart []int32
+	order     []msgRef
+	inCount   []int32
 
 	// Placement: the policy (nil means PlaceGroups) and the group -> worker
 	// assignment it returned at the first Run.
@@ -219,14 +235,17 @@ func (se *ShardedEngine) SetPlacement(p PlacementPolicy) { se.policy = p }
 // is safe to skip).
 func (se *ShardedEngine) SetBarrierIdle(fn func() bool) { se.barrierIdleFn = fn }
 
-// NewPort allocates a global port id. Ports identify sending links; the
-// merge at each barrier orders messages by (deliverAt, port, seq), so port
-// ids must be assigned in a construction order that does not depend on the
-// worker count or placement. Each port belongs to exactly one sending
-// component — only that component's group may Post on it (the per-port
-// sequence counter has a single writer by this contract).
+// NewPort allocates a global port id. Ports identify sending links; each
+// barrier delivers messages in (port, seq) order, so port ids must be
+// assigned in a construction order that does not depend on the worker count
+// or placement. Each port belongs to exactly one sending component — only
+// that component's group may Post on it. The per-port sequence counter has a
+// single writer by this contract, and port-order delivery relies on it: the
+// group that first posts on a port owns it, and Post panics with
+// *PortOwnerError when another group posts there.
 func (se *ShardedEngine) NewPort() int32 {
 	se.portSeq = append(se.portSeq, 0)
+	se.portOwner = append(se.portOwner, -1)
 	return int32(len(se.portSeq) - 1)
 }
 
@@ -238,6 +257,12 @@ func (ob *Outbox) Post(port int32, dstGroup, dstEndpoint int32, at Tick, p Paylo
 	se := ob.se
 	if at <= se.curEnd {
 		panic(&LookaheadError{Port: port, At: at, WindowEnd: se.curEnd})
+	}
+	if owner := se.portOwner[port]; owner != ob.group {
+		if owner >= 0 {
+			panic(&PortOwnerError{Port: port, Owner: owner, Group: ob.group})
+		}
+		se.portOwner[port] = ob.group
 	}
 	o := &se.groups[ob.group].out
 	off := int32(len(o.arena))
@@ -260,68 +285,64 @@ func (se *ShardedEngine) handlerFor(endpoint int32) MsgHandler {
 	return se.comps[endpoint]
 }
 
-// mergeSorter orders the gathered messages by (At, Port, Seq) — a key that
-// depends only on simulated time and construction-ordered port ids, never on
-// placement.
-type mergeSorter struct{ se *ShardedEngine }
-
-func (ms mergeSorter) Len() int { return len(ms.se.merged) }
-func (ms mergeSorter) Less(i, j int) bool {
-	a := &ms.se.gather[ms.se.merged[i]].env
-	b := &ms.se.gather[ms.se.merged[j]].env
-	if a.At != b.At {
-		return a.At < b.At
-	}
-	if a.Port != b.Port {
-		return a.Port < b.Port
-	}
-	return a.Seq < b.Seq
-}
-func (ms mergeSorter) Swap(i, j int) {
-	ms.se.merged[i], ms.se.merged[j] = ms.se.merged[j], ms.se.merged[i]
-}
-
-// exchange drains every outbox, merges deterministically, reserves each
-// destination's envelope slots for the window, and writes the envelopes
-// straight into the destination calendars. gather keeps per-message arena
-// provenance via group-ordered concatenation.
+// exchange drains every outbox into the destination calendars in port order
+// (see the file comment): it counts each port's messages, prefix-sums the
+// counts into each port's first slot, deals every message to its slot,
+// reserves each destination's envelope slots for the window, and schedules
+// the envelopes.
 func (se *ShardedEngine) exchange() {
-	se.gather = se.gather[:0]
-	se.merged = se.merged[:0]
+	total := se.stagedCount()
+	if total == 0 {
+		return
+	}
 	if se.inCount == nil {
 		se.inCount = make([]int32, len(se.groups))
 	}
-	for i := range se.inCount {
-		se.inCount[i] = 0
+	clear(se.inCount)
+	if len(se.portStart) != len(se.portSeq) {
+		se.portStart = make([]int32, len(se.portSeq))
 	}
+	clear(se.portStart)
 	for i := range se.groups {
-		o := &se.groups[i].out
-		src := int32(i)
-		for j := range o.msgs {
-			se.gather = append(se.gather, o.msgs[j])
-			se.merged = append(se.merged, len(se.gather)-1)
-			se.gatherSrc = append(se.gatherSrc, src)
-			dst := o.msgs[j].dstGroup
-			se.inCount[dst]++
-			se.envCount++
-			if se.placed[src] != se.placed[dst] {
+		msgs := se.groups[i].out.msgs
+		for j := range msgs {
+			m := &msgs[j]
+			se.portStart[m.env.Port]++
+			se.inCount[m.dstGroup]++
+			if se.placed[i] != se.placed[m.dstGroup] {
 				se.crossCount++
 			}
 		}
 	}
-	sort.Sort(mergeSorter{se})
+	se.envCount += int64(total)
+	var sum int32
+	for p, n := range se.portStart {
+		se.portStart[p] = sum
+		sum += n
+	}
+	if cap(se.order) < total {
+		se.order = make([]msgRef, total)
+	}
+	order := se.order[:total]
+	for i := range se.groups {
+		msgs := se.groups[i].out.msgs
+		for j := range msgs {
+			p := msgs[j].env.Port
+			order[se.portStart[p]] = msgRef{int32(i), int32(j)}
+			se.portStart[p]++
+		}
+	}
 	for g := range se.groups {
 		if se.inCount[g] > 0 {
 			se.groups[g].eng.ReserveEnvelopes(int(se.inCount[g]))
 		}
 	}
-	for _, gi := range se.merged {
-		m := &se.gather[gi]
-		srcArena := se.groups[se.gatherSrc[gi]].out.arena
+	for _, r := range order {
+		o := &se.groups[r.g].out
+		m := &o.msgs[r.i]
 		se.groups[m.dstGroup].eng.AtMsg(se.handlerFor(m.env.Endpoint), m.env,
-			srcArena[m.aOff:m.aOff+m.aLen])
+			o.arena[m.aOff:m.aOff+m.aLen])
 	}
-	se.gatherSrc = se.gatherSrc[:0]
 	for i := range se.groups {
 		se.groups[i].out.msgs = se.groups[i].out.msgs[:0]
 		se.groups[i].out.arena = se.groups[i].out.arena[:0]

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -88,6 +90,130 @@ func TestMailboxDeliveryOrder(t *testing.T) {
 	}
 	if se.PendingMessages() != 0 {
 		t.Errorf("%d messages leaked", se.PendingMessages())
+	}
+}
+
+// portOrderWorkload runs four sender groups that own twelve ports, dealt
+// round-robin so each sender's ports interleave with the others', and two
+// destination groups. Every window, each sender posts a burst on its ports
+// in a shuffled order, to either destination, with delivery times drawn
+// from three ticks so many messages share a tick. It returns what was
+// posted to each destination (with the seq each port assigned) and what
+// each destination's handler saw, in order.
+func portOrderWorkload(workers int) (posted, delivered [][]Envelope) {
+	const senders, dests, ports, rounds = 4, 2, 12, 6
+	se := NewSharded(workers, 50)
+	delivered = make([][]Envelope, senders+dests)
+	record := func(env Envelope) {
+		// One writer per destination: its group's engine runs the handler.
+		delivered[env.Endpoint] = append(delivered[env.Endpoint], env)
+	}
+	for g := 0; g < senders+dests; g++ {
+		addGroups(se, record, 1)
+	}
+	owned := make([][]int32, senders)
+	for p := 0; p < ports; p++ {
+		owned[p%senders] = append(owned[p%senders], se.NewPort())
+	}
+	// Each sender logs its own posts (one writer per sender) and counts
+	// its ports' seqs itself.
+	sent := make([][]Envelope, senders)
+	for g := 0; g < senders; g++ {
+		g := g
+		eng := se.Group(g)
+		rng := rand.New(rand.NewSource(int64(g) + 1))
+		seq := make(map[int32]uint32)
+		round := 0
+		var burst func()
+		burst = func() {
+			for _, k := range rng.Perm(3 * len(owned[g])) {
+				port := owned[g][k%len(owned[g])]
+				dst := int32(senders + rng.Intn(dests))
+				at := eng.Now() + 60 + Tick(rng.Intn(3))*5
+				u := int32(len(sent[g]))<<8 | int32(g)
+				se.Outbox(g).Post(port, dst, dst, at, Payload{U0: u}, nil)
+				sent[g] = append(sent[g], Envelope{At: at, Port: port, Seq: seq[port], Endpoint: dst, P: Payload{U0: u}})
+				seq[port]++
+			}
+			if round++; round < rounds {
+				eng.At(eng.Now()+50, burst)
+			}
+		}
+		eng.At(Tick(g), burst)
+	}
+	se.Run()
+	posted = make([][]Envelope, senders+dests)
+	for _, msgs := range sent {
+		for _, env := range msgs {
+			posted[env.Endpoint] = append(posted[env.Endpoint], env)
+		}
+	}
+	return posted, delivered
+}
+
+// TestExchangeDeliversInPortOrder checks the barrier's port-order delivery
+// against a brute-force sort: at 1, 2 and 3 workers, each destination must
+// see exactly what was posted to it, in (At, Port, Seq) order.
+func TestExchangeDeliversInPortOrder(t *testing.T) {
+	for _, workers := range []int{1, 2, 3} {
+		posted, delivered := portOrderWorkload(workers)
+		total := 0
+		for dst, want := range posted {
+			sort.Slice(want, func(i, j int) bool {
+				a, b := &want[i], &want[j]
+				if a.At != b.At {
+					return a.At < b.At
+				}
+				if a.Port != b.Port {
+					return a.Port < b.Port
+				}
+				return a.Seq < b.Seq
+			})
+			got := delivered[dst]
+			if len(got) != len(want) {
+				t.Fatalf("%d workers: destination %d got %d messages, want %d", workers, dst, len(got), len(want))
+			}
+			ties := 0
+			for i := range want {
+				g := got[i]
+				if g.At != want[i].At || g.Port != want[i].Port || g.Seq != want[i].Seq ||
+					g.Endpoint != want[i].Endpoint || g.P != want[i].P {
+					t.Fatalf("%d workers: destination %d delivery %d = %+v, want %+v", workers, dst, i, g, want[i])
+				}
+				if i > 0 && want[i].At == want[i-1].At {
+					ties++
+				}
+			}
+			if len(want) > 0 && ties == 0 {
+				t.Fatalf("destination %d: no same-tick messages to order", dst)
+			}
+			total += len(want)
+		}
+		if total == 0 {
+			t.Fatal("no messages delivered")
+		}
+	}
+}
+
+// TestPostFromSecondGroupPanics pins the one-owner-per-port rule that
+// port-order delivery relies on: once group 0 has posted on a port, a post
+// on it from group 1 panics with *PortOwnerError, which RunChecked returns.
+func TestPostFromSecondGroupPanics(t *testing.T) {
+	se := NewSharded(1, 50)
+	addGroups(se, func(Envelope) {}, 1, 1, 1)
+	p := se.NewPort()
+	se.Group(0).At(0, func() { se.Outbox(0).Post(p, 2, 2, 80, Payload{}, nil) })
+	se.Group(1).At(5, func() { se.Outbox(1).Post(p, 2, 2, 80, Payload{}, nil) })
+	_, err := se.RunChecked()
+	var pe *PortOwnerError
+	if !errors.As(err, &pe) {
+		t.Fatalf("posting on another group's port returned %v, want *PortOwnerError", err)
+	}
+	if pe.Port != p || pe.Owner != 0 || pe.Group != 1 {
+		t.Errorf("PortOwnerError = %+v, want port %d owned by group 0, posted from group 1", pe, p)
+	}
+	if pe.Error() == "" {
+		t.Error("empty error message")
 	}
 }
 

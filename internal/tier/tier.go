@@ -8,8 +8,9 @@
 package tier
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pifsrec/internal/sim"
 )
@@ -130,7 +131,24 @@ type Manager struct {
 	// onMove, when set, is invoked for every migrated page (destination
 	// nodes); the engine uses it to invalidate switch buffers.
 	onMove func(page int, from, to Node)
+	// Ranking buffers kept across epochs, so a steady-state epoch allocates
+	// nothing: swapHotCold ranks local and remote pages, spread the warm
+	// device's candidates.
+	rankLocal, rankRemote, rankCand []scored
 }
+
+// scored is a page and its ranking score (pageScore).
+type scored struct {
+	page  int
+	score uint32
+}
+
+// hottestFirst and coldestFirst order rankings for slices.SortFunc. Its
+// pdqsort is not stable, but it is the algorithm sort.Slice runs, so pages
+// with equal scores land as they would under sort.Slice with the same
+// comparison (ranking_test.go holds the two equal).
+func hottestFirst(a, b scored) int { return cmp.Compare(b.score, a.score) }
+func coldestFirst(a, b scored) int { return cmp.Compare(a.score, b.score) }
 
 // NewManager places footprint bytes of embedding data and returns the
 // manager. Initial placement: a hot-share prefix heuristic is not available
@@ -189,11 +207,14 @@ func NewManager(cfg Config, footprint int64) (*Manager, error) {
 	return m, nil
 }
 
+// unplaced marks a page initialPlacement has left for the CXL devices.
+const unplaced Node = -1
+
 func (m *Manager) initialPlacement() error {
 	// Bresenham-style interleave: accumulate the local share per page so any
 	// ratio works (0.8 -> the paper's 4:1 split; 0.125 -> 1 of 8 local).
 	carry := 0.0
-	var cxlPages []int
+	remote := 0
 	for p := 0; p < m.pages; p++ {
 		toLocal := false
 		if !m.cfg.CXLOnly && m.cfg.InterleaveLocalShare > 0 {
@@ -208,21 +229,24 @@ func (m *Manager) initialPlacement() error {
 			m.nodeUsed[NodeLocal]++
 			continue
 		}
-		cxlPages = append(cxlPages, p)
+		m.place[p] = unplaced
+		remote++
 	}
-	// CXL pages are divided into contiguous, equal address ranges across
-	// the devices ("We divide the trace file region evenly across memory
-	// devices", §VI-C4). Contiguity is what lets traffic skew overload one
-	// device — the imbalance embedding spreading (§IV-B3) later repairs.
-	n := len(cxlPages)
-	for i, p := range cxlPages {
-		pref := Node(-1)
-		if n > 0 {
-			pref = FirstCXLNode + Node(i*m.cfg.CXLNodes/n)
-			if pref >= FirstCXLNode+Node(m.cfg.CXLNodes) {
-				pref = FirstCXLNode + Node(m.cfg.CXLNodes-1)
-			}
+	// The remaining pages, in address order, are divided into contiguous,
+	// equal address ranges across the devices ("We divide the trace file
+	// region evenly across memory devices", §VI-C4). Contiguity is what lets
+	// traffic skew overload one device — the imbalance embedding spreading
+	// (§IV-B3) later repairs.
+	i := 0
+	for p := 0; p < m.pages; p++ {
+		if m.place[p] != unplaced {
+			continue
 		}
+		pref := FirstCXLNode + Node(i*m.cfg.CXLNodes/remote)
+		if pref >= FirstCXLNode+Node(m.cfg.CXLNodes) {
+			pref = FirstCXLNode + Node(m.cfg.CXLNodes-1)
+		}
+		i++
 		placed := false
 		for try := 0; try < m.cfg.CXLNodes; try++ {
 			nd := FirstCXLNode + Node((int(pref-FirstCXLNode)+try)%m.cfg.CXLNodes)
@@ -357,11 +381,7 @@ func (m *Manager) pageScore(p int) uint32 { return m.freq[p]/2 + m.epochCnt[p] }
 // cold page displaces the coldest private page only when its frequency
 // exceeds it by the cold-age threshold.
 func (m *Manager) swapHotCold() int {
-	type scored struct {
-		page  int
-		score uint32
-	}
-	var local, remote []scored
+	local, remote := m.rankLocal[:0], m.rankRemote[:0]
 	for p := 0; p < m.pages; p++ {
 		s := m.pageScore(p)
 		if m.place[p] == NodeLocal {
@@ -370,9 +390,10 @@ func (m *Manager) swapHotCold() int {
 			remote = append(remote, scored{p, s})
 		}
 	}
+	m.rankLocal, m.rankRemote = local, remote
 	// Hottest remote first; coldest local first.
-	sort.Slice(remote, func(i, j int) bool { return remote[i].score > remote[j].score })
-	sort.Slice(local, func(i, j int) bool { return local[i].score < local[j].score })
+	slices.SortFunc(remote, hottestFirst)
+	slices.SortFunc(local, coldestFirst)
 
 	// maxSwapsPerEpoch rate-limits promotion churn the way kernel migration
 	// daemons do; without it the first epochs would stall the system
@@ -465,11 +486,7 @@ func (m *Manager) spread() int {
 		if cool == warm {
 			return moves
 		}
-		type scored struct {
-			page  int
-			score uint32
-		}
-		var candidates []scored
+		candidates := m.rankCand[:0]
 		for p := 0; p < m.pages; p++ {
 			if m.place[p] == warm {
 				if s := m.pageScore(p); s > 0 {
@@ -477,7 +494,8 @@ func (m *Manager) spread() int {
 				}
 			}
 		}
-		sort.Slice(candidates, func(i, j int) bool { return candidates[i].score > candidates[j].score })
+		m.rankCand = candidates
+		slices.SortFunc(candidates, hottestFirst)
 
 		const maxMovesPerDevice = 32
 		excess := float64(warmCnt) - avgOthers
