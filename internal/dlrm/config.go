@@ -31,10 +31,6 @@ type ModelConfig struct {
 // DefaultTables is the table count used when a config does not override it.
 const DefaultTables = 16
 
-// DefaultBagSize is the pooling factor (indices summed per lookup); the
-// paper's evaluation default is 8 per batch (§VI-C).
-const DefaultBagSize = 8
-
 // The four models of Table I.
 func RMC1() ModelConfig {
 	return ModelConfig{

@@ -127,13 +127,6 @@ func (r *Runner) RunConfigsIsolated(cfgs []engine.Config) ([]engine.Result, []er
 	return results, errs
 }
 
-// mapIndexed runs fn across the pool and collects results by index.
-func mapIndexed[T any](r *Runner, n int, fn func(int) T) []T {
-	out := make([]T, n)
-	r.Do(n, func(i int) { out[i] = fn(i) })
-	return out
-}
-
 // pool is the package's default runner, used by every experiment sweep.
 // SetParallelism replaces it; the default is one worker per CPU.
 var pool = NewRunner(0)

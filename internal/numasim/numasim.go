@@ -285,31 +285,12 @@ func Fig6Configs() []Fig6Config {
 	return []Fig6Config{{16, 32}, {16, 64}, {16, 128}, {32, 32}, {32, 64}}
 }
 
-// Fig6Split returns the DIMM and CXL shares of application bandwidth for a
-// configuration, normalized against the platform's total capability (the
-// paper plots normalized app bandwidth split by source), under the analytic
-// model.
-func Fig6Split(p Platform, c Fig6Config) (dimm, cxlShare float64, err error) {
-	return Fig6SplitModel(ModelAnalytic, p, c)
-}
-
 // Fig6Workload is the workload behind one Fig 6 group: the Fig 5 default at
 // 512K rows with the group's thread count and a 20% slow-tier share. The
-// harness builds its Fig 6 job list from it so the CLI table and the memoized
-// sweep evaluate the identical workload.
+// harness builds its Fig 6 job list from it.
 func Fig6Workload(c Fig6Config) Workload {
 	w := DefaultWorkload(BatchThreading, c.EmbDim, 512<<10)
 	w.Threads = c.Threads
 	w.RemoteShare = 0.2
 	return w
-}
-
-// Fig6SplitModel is Fig6Split under a chosen model implementation.
-func Fig6SplitModel(m Model, p Platform, c Fig6Config) (dimm, cxlShare float64, err error) {
-	r, err := RunModel(m, p, Fig6Workload(c), InterleaveCXL)
-	if err != nil {
-		return 0, 0, err
-	}
-	total := p.LocalGBs + p.CXLGBs
-	return r.LocalGBs / total, r.SlowGBs / total, nil
 }

@@ -131,14 +131,19 @@ func TestInterleaveSeriesExceedsOne(t *testing.T) {
 
 func TestFig6MoreThreadsMoreBandwidth(t *testing.T) {
 	p := Genoa()
-	d16, c16, err := Fig6Split(p, Fig6Config{Threads: 16, EmbDim: 64})
-	if err != nil {
-		t.Fatal(err)
+	// The DIMM and CXL shares of the platform's total bandwidth, as
+	// fig6Spec computes them.
+	split := func(c Fig6Config) (dimm, cxl float64) {
+		t.Helper()
+		r, err := RunModel(ModelAnalytic, p, Fig6Workload(c), InterleaveCXL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := p.LocalGBs + p.CXLGBs
+		return r.LocalGBs / total, r.SlowGBs / total
 	}
-	d32, c32, err := Fig6Split(p, Fig6Config{Threads: 32, EmbDim: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d16, c16 := split(Fig6Config{Threads: 16, EmbDim: 64})
+	d32, c32 := split(Fig6Config{Threads: 32, EmbDim: 64})
 	if d32+c32 <= d16+c16 {
 		t.Errorf("32 threads (%.3f) not above 16 threads (%.3f)", d32+c32, d16+c16)
 	}

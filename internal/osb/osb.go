@@ -323,10 +323,6 @@ func (b *Buffer) InvalidateRange(start, end uint64) int {
 	return len(victims)
 }
 
-// Profiler exposes the address profiler (the FM endpoint extension owns it
-// in hardware; page management reads the same counters).
-func (b *Buffer) Profiler() *Profiler { return b.profiler }
-
 // Profiler is the address profiler of §IV-A4: it "logs and ranks frequently
 // accessed row vectors". Counts saturate rather than wrap.
 type Profiler struct {
@@ -346,25 +342,4 @@ func (p *Profiler) Record(addr uint64) uint32 {
 	}
 	p.counts[addr] = c
 	return c
-}
-
-// Count returns the recorded frequency of addr.
-func (p *Profiler) Count(addr uint64) uint32 { return p.counts[addr] }
-
-// Tracked returns how many distinct addresses have been observed.
-func (p *Profiler) Tracked() int { return len(p.counts) }
-
-// Decay halves every count, aging the profile so stale hot spots fade.
-// Entries that reach zero are dropped. Nothing in the simulator calls it:
-// profiles accumulate for a buffer's whole lifetime, and every buffered
-// table is computed that way.
-func (p *Profiler) Decay() {
-	for a, c := range p.counts {
-		c >>= 1
-		if c == 0 {
-			delete(p.counts, a)
-		} else {
-			p.counts[a] = c
-		}
-	}
 }

@@ -223,24 +223,6 @@ func TestUsedNeverExceedsCapacityProperty(t *testing.T) {
 	}
 }
 
-func TestProfilerDecay(t *testing.T) {
-	p := NewProfiler()
-	for i := 0; i < 8; i++ {
-		p.Record(0x100)
-	}
-	p.Record(0x200)
-	p.Decay()
-	if got := p.Count(0x100); got != 4 {
-		t.Fatalf("decayed count = %d, want 4", got)
-	}
-	if p.Count(0x200) != 0 {
-		t.Fatal("count of 1 should decay to zero")
-	}
-	if p.Tracked() != 1 {
-		t.Fatalf("Tracked = %d, want 1 after decay", p.Tracked())
-	}
-}
-
 func TestMixedVectorSizes(t *testing.T) {
 	b := New(MinCapacity, LRU)
 	b.Access(0, 128)

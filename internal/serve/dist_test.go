@@ -60,7 +60,7 @@ func distServerWrapped(t *testing.T, cfg CoordinatorConfig, wrap func(http.Handl
 
 // startWorker runs an in-process pull worker against the server; the
 // returned channel closes when the worker exits.
-func startWorker(ctx context.Context, url, id string, store *memo.Store, maxJobs int) <-chan struct{} {
+func startWorker(ctx context.Context, url, id string, store *memo.Store) <-chan struct{} {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -70,7 +70,6 @@ func startWorker(ctx context.Context, url, id string, store *memo.Store, maxJobs
 			Store:       store,
 			LeaseMax:    4,
 			Poll:        50 * time.Millisecond,
-			MaxJobs:     maxJobs,
 		})
 	}()
 	return done
@@ -135,7 +134,7 @@ func TestDistributedByteIdentity(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			var dones []<-chan struct{}
 			for i := 0; i < workers; i++ {
-				dones = append(dones, startWorker(ctx, srv.URL, fmt.Sprintf("w%d", i), memo.InMemory(), 0))
+				dones = append(dones, startWorker(ctx, srv.URL, fmt.Sprintf("w%d", i), memo.InMemory()))
 			}
 			waitLive(t, srv, workers)
 
@@ -162,20 +161,29 @@ func TestDistributedByteIdentity(t *testing.T) {
 }
 
 // TestDistributedWorkerKilledMidSweep models a worker that leases a batch
-// and dies after one job: its abandoned leases expire and are re-issued (to
-// the surviving worker or the local fallback), and the table is still
-// byte-identical.
+// and dies after one job: the server cancels its context once it has
+// answered the worker's first result post. Its abandoned leases expire and
+// are re-issued (to the surviving worker or the local fallback), and the
+// table is still byte-identical.
 func TestDistributedWorkerKilledMidSweep(t *testing.T) {
 	want := referenceTable(t, "fig12a")
 	jobs := int64(len(harness.Jobs("fig12a")))
-	srv, c := distServer(t, CoordinatorConfig{
-		LeaseTTL:    150 * time.Millisecond,
-		ClaimBudget: 10 * time.Second,
-	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	dying := startWorker(ctx, srv.URL, "dying", memo.InMemory(), 1)
-	healthy := startWorker(ctx, srv.URL, "healthy", memo.InMemory(), 0)
+	dyingCtx, kill := context.WithCancel(ctx)
+	srv, c := distServerWrapped(t, CoordinatorConfig{
+		LeaseTTL:    150 * time.Millisecond,
+		ClaimBudget: 10 * time.Second,
+	}, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			h.ServeHTTP(w, r)
+			if r.URL.Path == "/v1/jobs/result" && r.URL.Query().Get("worker") == "dying" {
+				kill()
+			}
+		})
+	})
+	dying := startWorker(dyingCtx, srv.URL, "dying", memo.InMemory())
+	healthy := startWorker(ctx, srv.URL, "healthy", memo.InMemory())
 	waitLive(t, srv, 2)
 
 	got := getTable(t, srv, "fig12a")
@@ -191,6 +199,47 @@ func TestDistributedWorkerKilledMidSweep(t *testing.T) {
 	}
 	if st.DuplicateMismatches != 0 {
 		t.Errorf("%d duplicate mismatches", st.DuplicateMismatches)
+	}
+}
+
+// TestWorkerIDEscaped runs fig12a through one worker whose ID holds a
+// character that means something in a query string. Every result post must
+// reach the coordinator whole: each job completes remotely as the
+// simulation it was, and the status lists one worker, under the exact ID.
+func TestWorkerIDEscaped(t *testing.T) {
+	jobs := int64(len(harness.Jobs("fig12a")))
+	for _, tc := range []struct{ name, id string }{
+		{"space", "w 1"},
+		{"ampersand", "w&cached=1"},
+		{"hash", "w#1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, c := distServer(t, CoordinatorConfig{
+				LeaseTTL:    10 * time.Second,
+				ClaimBudget: 10 * time.Second,
+			})
+			ctx, cancel := context.WithCancel(context.Background())
+			done := startWorker(ctx, srv.URL, tc.id, memo.InMemory())
+			waitLive(t, srv, 1)
+			getTable(t, srv, "fig12a")
+			cancel()
+			<-done
+			st := c.Stats()
+			if st.RemoteCompleted != jobs || st.LocalRuns != 0 || st.RemoteCacheHits != 0 {
+				t.Errorf("remote=%d local=%d remote_cache_hits=%d, want %d/0/0",
+					st.RemoteCompleted, st.LocalRuns, st.RemoteCacheHits, jobs)
+			}
+			resp, body := get(t, srv.URL+"/v1/jobs/status")
+			var out struct {
+				Workers []WorkerStatus `json:"workers"`
+			}
+			if err := json.Unmarshal(body, &out); err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("status: %d %v", resp.StatusCode, err)
+			}
+			if len(out.Workers) != 1 || out.Workers[0].ID != tc.id || out.Workers[0].Completed != jobs {
+				t.Errorf("workers %+v, want one, %q, with %d completed", out.Workers, tc.id, jobs)
+			}
+		})
 	}
 }
 
@@ -275,7 +324,7 @@ func TestWarmWorkerCacheSkipsSimulation(t *testing.T) {
 			ClaimBudget: 10 * time.Second,
 		})
 		ctx, cancel := context.WithCancel(context.Background())
-		done := startWorker(ctx, srv.URL, "w0", workerStore, 0)
+		done := startWorker(ctx, srv.URL, "w0", workerStore)
 		waitLive(t, srv, 1)
 
 		got := getTable(t, srv, "fig12a")

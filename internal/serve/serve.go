@@ -24,7 +24,7 @@
 //	                            a lease names (application/octet-stream)
 //
 // The JSON request bodies of /v1/simulate and /v1/jobs/lease are bounded at
-// maxRequestBytes (after gzip decoding); a larger body is answered 413.
+// maxRequestBytes; a larger body is answered 413.
 // /v1/simulate also answers 400 for more than maxSimulateConfigs configs, or
 // a config whose sizes fall outside the ConfigSpec bounds.
 //
@@ -34,23 +34,14 @@
 // sweep's cache misses were completed by workers, by local fallback, or
 // shared with a concurrent identical request (all approximate under
 // concurrent requests — the counters are global).
-//
-// The HTTP layer accepts gzip-compressed request bodies and, for clients
-// that accept gzip, compresses a response body of gzipThreshold (1 KiB) or
-// more with a pooled compressor; a shorter body goes out as written. Workers
-// compress their result posts by the same rule.
 package serve
 
 import (
-	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
-	"strings"
-	"sync"
 	"time"
 
 	"pifsrec/internal/dlrm"
@@ -181,17 +172,14 @@ type Options struct {
 	Log *log.Logger
 }
 
-// NewHandler returns the sweep-service handler with no coordinator and no
-// request logging. It holds no state of its own — the result cache
+// Handler returns the sweep-service handler for the given options. It holds
+// no state of its own beyond the coordinator — the result cache
 // (harness.SetStore) and runner width are process configuration.
-func NewHandler() http.Handler { return Handler(Options{}) }
-
-// Handler returns the sweep-service handler for the given options.
 func Handler(o Options) http.Handler {
 	c := o.Coordinator
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/experiments", handleExperiments)
-	mux.HandleFunc("/v1/run", withDistHeaders(c, handleRun))
+	mux.HandleFunc("/v1/run", runHandler(c))
 	mux.HandleFunc("/v1/simulate", handleSimulate)
 	mux.HandleFunc("/v1/stats", handleStats)
 	mux.HandleFunc("/v1/jobs/lease", jobEndpoint(c, (*Coordinator).handleLease))
@@ -199,11 +187,10 @@ func Handler(o Options) http.Handler {
 	mux.HandleFunc("/v1/jobs/fail", jobEndpoint(c, (*Coordinator).handleFail))
 	mux.HandleFunc("/v1/jobs/status", jobEndpoint(c, (*Coordinator).handleStatus))
 	mux.HandleFunc("/v1/traces/", jobEndpoint(c, (*Coordinator).handleTrace))
-	var h http.Handler = withGzip(mux)
-	if o.Log != nil {
-		h = withRequestLog(o.Log, c, h)
+	if o.Log == nil {
+		return mux
 	}
-	return h
+	return withRequestLog(o.Log, c, mux)
 }
 
 // jobEndpoint answers a job-board route, or 503 when the service runs
@@ -216,149 +203,6 @@ func jobEndpoint(c *Coordinator, fn func(*Coordinator, http.ResponseWriter, *htt
 		}
 		fn(c, w, r)
 	}
-}
-
-// bufferedResponse holds a handler's full output so headers computed AFTER
-// the handler ran (the job-board deltas) can still be set before anything
-// reaches the wire. Sweep responses are tables and counter JSON — a few KB.
-type bufferedResponse struct {
-	http.ResponseWriter
-	status int
-	body   []byte
-}
-
-func (b *bufferedResponse) WriteHeader(code int) { b.status = code }
-func (b *bufferedResponse) Write(p []byte) (int, error) {
-	b.body = append(b.body, p...)
-	return len(p), nil
-}
-
-// withDistHeaders adds the job-board deltas a sweep request caused to its
-// response headers, next to the memo hit/miss deltas the handlers set.
-func withDistHeaders(c *Coordinator, h http.HandlerFunc) http.HandlerFunc {
-	if c == nil {
-		return h
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		before := c.Stats()
-		buf := &bufferedResponse{ResponseWriter: w, status: http.StatusOK}
-		h(buf, r)
-		after := c.Stats()
-		hdr := w.Header()
-		hdr.Set("X-Jobs-Remote", fmt.Sprint(after.RemoteCompleted-before.RemoteCompleted))
-		hdr.Set("X-Jobs-Local", fmt.Sprint(after.LocalRuns-before.LocalRuns))
-		hdr.Set("X-Jobs-Shared", fmt.Sprint(after.SharedJobs-before.SharedJobs))
-		w.WriteHeader(buf.status)
-		w.Write(buf.body)
-	}
-}
-
-// gzipThreshold is the body size from which a response, or a worker's
-// result post, is gzip-compressed. Shorter bodies (errors, empty lease
-// polls, small result frames) cost more CPU to compress than they save.
-const gzipThreshold = 1 << 10
-
-// gzipWriters pools compressors: a gzip.Writer carries about 800 KB of
-// deflate state, far more than the bodies it compresses here. getGzip
-// Resets one onto its destination; put it back after Close.
-var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
-
-func getGzip(w io.Writer) *gzip.Writer {
-	gz := gzipWriters.Get().(*gzip.Writer)
-	gz.Reset(w)
-	return gz
-}
-
-// gzipResponseWriter compresses a response body of gzipThreshold bytes or
-// more. It holds back the status and the first bytes until it knows which
-// case applies: once the body reaches the threshold it sets
-// Content-Encoding, drops Content-Length (the compressed size is unknown)
-// and streams through a pooled compressor; a shorter body goes out as
-// written when Close runs.
-type gzipResponseWriter struct {
-	http.ResponseWriter
-	status int
-	head   []byte // body bytes held back while under the threshold
-	gz     *gzip.Writer
-}
-
-func (g *gzipResponseWriter) WriteHeader(code int) {
-	if g.status == 0 {
-		g.status = code
-	}
-}
-
-func (g *gzipResponseWriter) Write(p []byte) (int, error) {
-	if g.gz != nil {
-		return g.gz.Write(p)
-	}
-	if len(g.head)+len(p) < gzipThreshold {
-		g.head = append(g.head, p...)
-		return len(p), nil
-	}
-	g.Header().Set("Content-Encoding", "gzip")
-	g.Header().Del("Content-Length")
-	g.sendHeader()
-	g.gz = getGzip(g.ResponseWriter)
-	if _, err := g.gz.Write(g.head); err != nil {
-		return 0, err
-	}
-	g.head = nil
-	return g.gz.Write(p)
-}
-
-func (g *gzipResponseWriter) sendHeader() {
-	if g.status != 0 {
-		g.ResponseWriter.WriteHeader(g.status)
-	}
-}
-
-// Close sends a body shorter than the threshold as written, or ends the
-// compressed stream and returns its compressor to the pool.
-func (g *gzipResponseWriter) Close() error {
-	if g.gz == nil {
-		g.sendHeader()
-		_, err := g.ResponseWriter.Write(g.head)
-		return err
-	}
-	err := g.gz.Close()
-	gzipWriters.Put(g.gz)
-	g.gz = nil
-	return err
-}
-
-type gzipReadCloser struct {
-	*gzip.Reader
-	orig io.Closer
-}
-
-func (g gzipReadCloser) Close() error {
-	g.Reader.Close()
-	return g.orig.Close()
-}
-
-// withGzip decompresses gzip request bodies and compresses responses of
-// gzipThreshold bytes or more for clients that accept gzip (Go's default
-// HTTP client does, transparently).
-func withGzip(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("Content-Encoding") == "gzip" {
-			gz, err := gzip.NewReader(r.Body)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "request body is not valid gzip: %v", err)
-				return
-			}
-			r.Body = gzipReadCloser{Reader: gz, orig: r.Body}
-			r.Header.Del("Content-Encoding")
-		}
-		if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
-			gw := &gzipResponseWriter{ResponseWriter: w}
-			defer gw.Close()
-			h.ServeHTTP(gw, r)
-			return
-		}
-		h.ServeHTTP(w, r)
-	})
 }
 
 // statusRecorder captures the response code for the request log.
@@ -458,23 +302,39 @@ func handleExperiments(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"experiments": out})
 }
 
-func handleRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
+// runHandler answers /v1/run. It sets the cache's hit and miss deltas and,
+// with a coordinator c, the job-board deltas once the sweep has run, before
+// the table's first byte goes out.
+func runHandler(c *Coordinator) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			writeError(w, http.StatusMethodNotAllowed, "use GET")
+			return
+		}
+		id := r.URL.Query().Get("id")
+		before := harness.CacheStats()
+		var distBefore DistStats
+		if c != nil {
+			distBefore = c.Stats()
+		}
+		table, err := harness.RunTable(id)
+		if err != nil {
+			writeError(w, http.StatusNotFound, "unknown experiment %q (have %v)", id, harness.IDs())
+			return
+		}
+		after := harness.CacheStats()
+		hdr := w.Header()
+		hdr.Set("X-Memo-Hits", fmt.Sprint(after.Hits-before.Hits))
+		hdr.Set("X-Memo-Misses", fmt.Sprint(after.Misses-before.Misses))
+		if c != nil {
+			distAfter := c.Stats()
+			hdr.Set("X-Jobs-Remote", fmt.Sprint(distAfter.RemoteCompleted-distBefore.RemoteCompleted))
+			hdr.Set("X-Jobs-Local", fmt.Sprint(distAfter.LocalRuns-distBefore.LocalRuns))
+			hdr.Set("X-Jobs-Shared", fmt.Sprint(distAfter.SharedJobs-distBefore.SharedJobs))
+		}
+		hdr.Set("Content-Type", "text/plain; charset=utf-8")
+		table.Fprint(w)
 	}
-	id := r.URL.Query().Get("id")
-	before := harness.CacheStats()
-	table, err := harness.RunTable(id)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "unknown experiment %q (have %v)", id, harness.IDs())
-		return
-	}
-	after := harness.CacheStats()
-	w.Header().Set("X-Memo-Hits", fmt.Sprint(after.Hits-before.Hits))
-	w.Header().Set("X-Memo-Misses", fmt.Sprint(after.Misses-before.Misses))
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	table.Fprint(w)
 }
 
 // simulateRequest is the body of a /v1/simulate request.

@@ -2,16 +2,14 @@ package serve
 
 import (
 	"bytes"
-	"compress/gzip"
+	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
-	"sync"
 	"testing"
+	"time"
 
 	"pifsrec/internal/harness"
 	"pifsrec/internal/memo"
@@ -20,7 +18,7 @@ import (
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	prev := harness.SetStore(memo.InMemory())
-	srv := httptest.NewServer(NewHandler())
+	srv := httptest.NewServer(Handler(Options{}))
 	t.Cleanup(func() {
 		srv.Close()
 		harness.SetStore(prev)
@@ -107,6 +105,50 @@ func TestRunEndpointMemoizes(t *testing.T) {
 	}
 	if resp2.Header.Get("X-Memo-Hits") != "2" {
 		t.Errorf("warm request X-Memo-Hits=%s, want 2", resp2.Header.Get("X-Memo-Hits"))
+	}
+}
+
+// TestRunEndpointJobHeaders reads the job-board deltas /v1/run reports:
+// with no coordinator it sets no X-Jobs-* header; with one and a worker, a
+// cold fig12a sweep has every job completed remotely, and a repeat, all
+// cache hits, publishes nothing.
+func TestRunEndpointJobHeaders(t *testing.T) {
+	jobHeaders := []string{"X-Jobs-Remote", "X-Jobs-Local", "X-Jobs-Shared"}
+	plain := testServer(t)
+	resp, body := get(t, plain.URL+"/v1/run?id=ablation-migration")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("no coordinator: status %d: %s", resp.StatusCode, body)
+	}
+	for _, h := range jobHeaders {
+		if v, ok := resp.Header[h]; ok {
+			t.Errorf("no coordinator: %s set to %q", h, v)
+		}
+	}
+
+	srv, _ := distServer(t, CoordinatorConfig{
+		LeaseTTL:    10 * time.Second,
+		ClaimBudget: 10 * time.Second,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := startWorker(ctx, srv.URL, "w0", memo.InMemory())
+	defer func() {
+		cancel()
+		<-done
+	}()
+	waitLive(t, srv, 1)
+	jobs := fmt.Sprint(len(harness.Jobs("fig12a")))
+	for _, want := range [][3]string{{jobs, "0", "0"}, {"0", "0", "0"}} {
+		resp, body := get(t, srv.URL+"/v1/run?id=fig12a")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		var got [3]string
+		for i, h := range jobHeaders {
+			got[i] = resp.Header.Get(h)
+		}
+		if got != want {
+			t.Errorf("remote/local/shared = %v, want %v", got, want)
+		}
 	}
 }
 
@@ -271,135 +313,4 @@ func TestStatsEndpointAndMethods(t *testing.T) {
 	if respGet.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/simulate: status %d, want 405", respGet.StatusCode)
 	}
-}
-
-// gzipTestServer answers ?n=N&chunk=C with N deterministic bytes written in
-// C-byte pieces (all at once for C=0), under status 200 or, with ?teapot,
-// 418.
-func gzipTestServer(t *testing.T) *httptest.Server {
-	t.Helper()
-	srv := httptest.NewServer(withGzip(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		n, _ := strconv.Atoi(q.Get("n"))
-		chunk, _ := strconv.Atoi(q.Get("chunk"))
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if q.Has("teapot") {
-			w.WriteHeader(http.StatusTeapot)
-		}
-		body := gzipTestBody(n)
-		if chunk == 0 {
-			chunk = max(n, 1)
-		}
-		for len(body) > 0 {
-			k := min(chunk, len(body))
-			w.Write(body[:k])
-			body = body[k:]
-		}
-	})))
-	t.Cleanup(srv.Close)
-	return srv
-}
-
-// gzipTestBody is n pseudo-random letters seeded by n: compressible but not
-// constant, and different for responses of different lengths.
-func gzipTestBody(n int) []byte {
-	b := make([]byte, n)
-	x := uint32(n)*2654435761 + 1
-	for i := range b {
-		x ^= x << 13
-		x ^= x >> 17
-		x ^= x << 5
-		b[i] = 'a' + byte(x%7) // compressible, not constant
-	}
-	return b
-}
-
-// getGzipBody requests path with Accept-Encoding: gzip on a client that
-// does not decompress, and returns the status, whether the body came
-// gzipped, and the decoded bytes.
-func getGzipBody(t *testing.T, client *http.Client, url string) (int, bool, []byte) {
-	t.Helper()
-	req, err := http.NewRequest("GET", url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept-Encoding", "gzip")
-	resp, raw := do(t, client, req)
-	if resp.Header.Get("Content-Encoding") != "gzip" {
-		return resp.StatusCode, false, raw
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatalf("%s: gzip body does not decode: %v", url, err)
-	}
-	return resp.StatusCode, true, body
-}
-
-// TestGzipThreshold: a gzip-accepting client gets a plain body under
-// gzipThreshold bytes and a gzip body at or above it, however the handler
-// splits its writes, with the handler's status; both decode to the bytes
-// the handler wrote. A client that does not accept gzip gets plain bytes.
-func TestGzipThreshold(t *testing.T) {
-	srv := gzipTestServer(t)
-	client := &http.Client{Transport: &http.Transport{DisableCompression: true}}
-	for _, n := range []int{0, 1, 200, gzipThreshold - 1, gzipThreshold, gzipThreshold + 1, 64 << 10} {
-		for _, chunk := range []int{0, 1, 700} {
-			for _, teapot := range []bool{false, true} {
-				url := fmt.Sprintf("%s/?n=%d&chunk=%d", srv.URL, n, chunk)
-				wantCode := http.StatusOK
-				if teapot {
-					url += "&teapot"
-					wantCode = http.StatusTeapot
-				}
-				code, gzipped, body := getGzipBody(t, client, url)
-				if code != wantCode || gzipped != (n >= gzipThreshold) || !bytes.Equal(body, gzipTestBody(n)) {
-					t.Errorf("n=%d chunk=%d: status %d gzipped=%v, %d bytes match=%v; want %d, gzipped=%v",
-						n, chunk, code, gzipped, len(body), bytes.Equal(body, gzipTestBody(n)), wantCode, n >= gzipThreshold)
-				}
-			}
-		}
-	}
-	resp, body := get(t, srv.URL+"/?n=5000") // the default client asks for gzip itself
-	if !bytes.Equal(body, gzipTestBody(5000)) || !resp.Uncompressed {
-		t.Errorf("transparent client: %d bytes, uncompressed=%v", len(body), resp.Uncompressed)
-	}
-	req, _ := http.NewRequest("GET", srv.URL+"/?n=5000", nil)
-	req.Header.Set("Accept-Encoding", "identity")
-	resp, body = do(t, client, req)
-	if resp.Header.Get("Content-Encoding") != "" || !bytes.Equal(body, gzipTestBody(5000)) {
-		t.Errorf("client without gzip: Content-Encoding %q, %d bytes", resp.Header.Get("Content-Encoding"), len(body))
-	}
-}
-
-// TestGzipPooledWritersIndependent sends back-to-back and concurrent
-// compressed responses through the pooled writers: each decodes to exactly
-// its own bytes, with nothing carried over from the response before.
-func TestGzipPooledWritersIndependent(t *testing.T) {
-	srv := gzipTestServer(t)
-	client := &http.Client{Transport: &http.Transport{DisableCompression: true}}
-	sizes := []int{64 << 10, gzipThreshold, 3000, gzipThreshold + 7}
-	for _, n := range sizes {
-		if _, gzipped, body := getGzipBody(t, client, fmt.Sprintf("%s/?n=%d", srv.URL, n)); !gzipped || !bytes.Equal(body, gzipTestBody(n)) {
-			t.Errorf("back-to-back n=%d: gzipped=%v, %d bytes, match=%v", n, gzipped, len(body), bytes.Equal(body, gzipTestBody(n)))
-		}
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, n := range sizes {
-				n += g
-				_, gzipped, body := getGzipBody(t, client, fmt.Sprintf("%s/?n=%d&chunk=%d", srv.URL, n, 100*g))
-				if !gzipped || !bytes.Equal(body, gzipTestBody(n)) {
-					t.Errorf("concurrent n=%d: gzipped=%v, match=%v", n, gzipped, bytes.Equal(body, gzipTestBody(n)))
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -85,8 +85,8 @@ func TestBadTraceFetchRunsLocally(t *testing.T) {
 				})
 			})
 			ctx, cancel := context.WithCancel(context.Background())
-			w1 := startWorker(ctx, srv.URL, "w1", memo.InMemory(), 0)
-			w2 := startWorker(ctx, srv.URL, "w2", memo.InMemory(), 0)
+			w1 := startWorker(ctx, srv.URL, "w1", memo.InMemory())
+			w2 := startWorker(ctx, srv.URL, "w2", memo.InMemory())
 			waitLive(t, srv, 2)
 
 			got := getTable(t, srv, "fig12a")
@@ -131,7 +131,7 @@ func TestWorkerFetchesEachTraceOnce(t *testing.T) {
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	done := startWorker(ctx, srv.URL, "w0", memo.InMemory(), 0)
+	done := startWorker(ctx, srv.URL, "w0", memo.InMemory())
 	waitLive(t, srv, 1)
 	first := getTable(t, srv, "fig12a")
 	harness.SetStore(memo.InMemory()) // distServer's cleanup restores the original

@@ -26,7 +26,9 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -55,9 +57,6 @@ type WorkerConfig struct {
 	Poll time.Duration
 	// Log receives per-job lines; nil silences them.
 	Log *log.Logger
-	// MaxJobs stops the worker after completing this many jobs (0 = run
-	// until the context ends). Tests use it to model a worker that dies.
-	MaxJobs int
 }
 
 func (w WorkerConfig) withDefaults() WorkerConfig {
@@ -141,8 +140,7 @@ func newWorker(cfg WorkerConfig) *worker {
 		cfg:  cfg,
 		base: strings.TrimRight(cfg.Coordinator, "/"),
 		// One client for the whole loop: connection reuse (keep-alive)
-		// makes the lease/result round-trips cheap, and the transport
-		// transparently asks for and decompresses gzip responses.
+		// makes the lease/result round-trips cheap.
 		client: &http.Client{},
 		traces: newTraceCache(traceCacheBytes),
 	}
@@ -154,15 +152,13 @@ func (w *worker) logf(format string, args ...any) {
 	}
 }
 
-// RunWorker pull-loops against the coordinator until ctx ends (or MaxJobs
-// completions). Transient coordinator errors back off and retry; the only
-// error return is a context cancellation, so a fleet survives coordinator
-// restarts.
+// RunWorker pull-loops against the coordinator until ctx ends. Transient
+// coordinator errors back off and retry; the only error return is a context
+// cancellation, so a fleet survives coordinator restarts.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	w := newWorker(cfg)
 	w.logf("worker %s: pulling from %s (cache: %s)", w.cfg.ID, w.base, storeDesc(w.cfg.Store))
 
-	jobsDone := 0
 	backoff := 100 * time.Millisecond
 	for {
 		if err := ctx.Err(); err != nil {
@@ -187,11 +183,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 				return err
 			}
 			w.runLease(ctx, l)
-			jobsDone++
-			if w.cfg.MaxJobs > 0 && jobsDone >= w.cfg.MaxJobs {
-				w.logf("worker %s: done after %d jobs", w.cfg.ID, jobsDone)
-				return nil
-			}
 		}
 	}
 }
@@ -204,8 +195,8 @@ func storeDesc(st *memo.Store) string {
 }
 
 // requestLeases polls for leases. It reads at most maxRequestBytes of the
-// (gunzipped) response, far past a full 16-job lease of config-only wires;
-// a longer response fails the poll.
+// response, far past a full 16-job lease of config-only wires; a longer
+// response fails the poll.
 func (w *worker) requestLeases(ctx context.Context) ([]leaseWire, error) {
 	body, _ := json.Marshal(leaseRequest{
 		Worker: w.cfg.ID,
@@ -356,32 +347,27 @@ func (w *worker) fetchTrace(ctx context.Context, name string) ([]byte, error) {
 	return raw, nil
 }
 
+// leaseQuery names a lease and this worker in the query of a result or fail
+// post, each value escaped: a worker ID may hold any character.
+func (w *worker) leaseQuery(l leaseWire) url.Values {
+	return url.Values{
+		"hash":   {l.Hash},
+		"lease":  {strconv.FormatUint(l.Lease, 10)},
+		"worker": {w.cfg.ID},
+	}
+}
+
 func (w *worker) postResult(ctx context.Context, l leaseWire, frame []byte, cached bool) (string, error) {
-	cachedFlag := "0"
+	q := w.leaseQuery(l)
+	q.Set("cached", "0")
 	if cached {
-		cachedFlag = "1"
+		q.Set("cached", "1")
 	}
-	url := fmt.Sprintf("%s/v1/jobs/result?hash=%s&lease=%d&worker=%s&cached=%s",
-		w.base, l.Hash, l.Lease, w.cfg.ID, cachedFlag)
-	var body io.Reader = bytes.NewReader(frame)
-	gzipped := len(frame) >= gzipThreshold
-	if gzipped {
-		// Writes into a bytes.Buffer cannot fail.
-		var buf bytes.Buffer
-		gz := getGzip(&buf)
-		gz.Write(frame)
-		gz.Close()
-		gzipWriters.Put(gz)
-		body = &buf
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, body)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+"/v1/jobs/result?"+q.Encode(), bytes.NewReader(frame))
 	if err != nil {
 		return "", err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	if gzipped {
-		req.Header.Set("Content-Encoding", "gzip")
-	}
 	resp, err := w.client.Do(req)
 	if err != nil {
 		return "", err
@@ -400,8 +386,7 @@ func (w *worker) postResult(ctx context.Context, l leaseWire, frame []byte, cach
 }
 
 func (w *worker) postFail(ctx context.Context, l leaseWire) {
-	url := fmt.Sprintf("%s/v1/jobs/fail?hash=%s&lease=%d&worker=%s", w.base, l.Hash, l.Lease, w.cfg.ID)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+"/v1/jobs/fail?"+w.leaseQuery(l).Encode(), nil)
 	if err != nil {
 		return
 	}
