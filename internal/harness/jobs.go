@@ -110,25 +110,34 @@ func prefixFor(salt string) *memo.Hasher {
 // salt: H(salt, result schema, canonical input encoding). Two jobs hash
 // equal exactly when the determinism gates guarantee they produce identical
 // results on this code version. An engine job over a trace from traceFor
-// uses the hash stored with that trace; any other trace (a worker's fetched
-// copy, a /v1/simulate body, a fresh trace.Generate) is hashed in full. The
-// key is the same either way.
+// uses the hash stored with that trace; any other trace (a /v1/simulate
+// body, a fresh trace.Generate) is hashed in full. The key is the same
+// either way.
 func (j Job) Hash() (memo.Hash, error) {
-	return j.hashSalted(codeSalt)
+	var th [32]byte
+	if j.Engine != nil && j.Engine.Trace != nil { // a nil trace is the encoder's error
+		var ok bool
+		if th, ok = memoizedTraceHash(j.Engine.Trace); !ok {
+			var err error
+			if th, err = j.Engine.Trace.Hash(); err != nil {
+				return memo.Hash{}, fmt.Errorf("engine: hashing trace: %w", err)
+			}
+		}
+	}
+	return j.HashWithTraceHash(th)
 }
 
-func (j Job) hashSalted(salt string) (memo.Hash, error) {
-	h := prefixFor(salt)
+// HashWithTraceHash is Hash with an engine job's trace hash supplied by the
+// caller: traceHash must be j.Engine.Trace.Hash(), and a numasim job
+// ignores it. A pull worker hashes each trace it fetches once and keys
+// every leased job over it through this method, so no job key serializes
+// the trace again.
+func (j Job) HashWithTraceHash(traceHash [32]byte) (memo.Hash, error) {
+	h := prefixFor(codeSalt)
 	switch {
 	case j.Engine != nil && j.Numa == nil:
 		h.Str("engine")
-		var b []byte
-		var err error
-		if th, ok := memoizedTraceHash(j.Engine.Trace); ok {
-			b, err = j.Engine.CanonicalBinaryWithTraceHash(th)
-		} else {
-			b, err = j.Engine.CanonicalBinary()
-		}
+		b, err := j.Engine.CanonicalBinaryWithTraceHash(traceHash)
 		if err != nil {
 			return memo.Hash{}, err
 		}
@@ -241,8 +250,8 @@ var distributor Distributor
 // SetDistributor installs the distribution seam behind RunJobs (nil
 // restores pool-local execution) and returns the previous one. The serve
 // coordinator installs its job board here; worker processes never install
-// one (their RunJobsLocal path bypasses it by construction, so a worker can
-// not recursively distribute).
+// one (they answer leases through RunJobPayload, which bypasses it by
+// construction, so a worker can not recursively distribute).
 func SetDistributor(d Distributor) Distributor {
 	prev := distributor
 	distributor = d
@@ -258,17 +267,7 @@ func SetDistributor(d Distributor) Distributor {
 // identical: memoization and distribution are invisible except in
 // wall-clock and counters.
 func (r *Runner) RunJobs(jobs []Job) []JobResult {
-	return r.runJobs(memoStore, distributor, jobs)
-}
-
-// RunJobsLocal is RunJobs against an explicit store and never distributes:
-// the pull-worker loop runs leased jobs through it so a worker answers from
-// its own cache first and can never re-enter the coordinator's job board.
-func (r *Runner) RunJobsLocal(st *memo.Store, jobs []Job) []JobResult {
-	return r.runJobs(st, nil, jobs)
-}
-
-func (r *Runner) runJobs(st *memo.Store, dist Distributor, jobs []Job) []JobResult {
+	st, dist := memoStore, distributor
 	out := make([]JobResult, len(jobs))
 	if st == nil {
 		r.Do(len(jobs), func(i int) { out[i] = execJob(jobs[i]) })
@@ -333,6 +332,27 @@ func (r *Runner) runJobs(st *memo.Store, dist Distributor, jobs []Job) []JobResu
 		}
 	}
 	return out
+}
+
+// RunJobPayload answers one job whose key the caller has checked, as
+// EncodeJobResult bytes, with one read of st: a hit returns the payload as
+// stored, not decoded; a miss runs the job on the calling goroutine, stores
+// its encoded result under key and returns those bytes. cached reports a
+// hit. It never distributes: a pull worker answers each lease through it
+// from its own cache first and can never re-enter the coordinator's job
+// board. Whoever decodes the payload checks it; the coordinator refuses a
+// posted one that does not decode, so a bad stored entry costs a local run
+// there, not a wrong result.
+func (r *Runner) RunJobPayload(st *memo.Store, j Job, key memo.Hash) (payload []byte, cached bool, err error) {
+	if payload, ok := st.Get(key); ok {
+		return payload, true, nil
+	}
+	if payload, err = EncodeJobResult(execJob(j)); err != nil {
+		return nil, false, err
+	}
+	// Put failures are counted by the store and cost a later miss.
+	_ = st.Put(key, payload)
+	return payload, false, nil
 }
 
 // spec is one experiment in job/assemble form: an ordered list of phases —

@@ -317,7 +317,10 @@ func referenceJobKey(t *testing.T, j Job) memo.Hash {
 // every first-phase job of every experiment, on each fig13a job edited as
 // the benchmark's edits are (config copied, Seed changed, trace shared),
 // and on a job over a fresh generation of a memoized trace spec, which has
-// the same bytes behind another pointer and so no stored hash.
+// the same bytes behind another pointer and so no stored hash. Each
+// first-phase engine job is also keyed as a pull worker keys it: over a
+// copy of its trace decoded from PIFSTRC1 bytes, through HashWithTraceHash
+// with the copy's hash, computed once per trace.
 func TestJobHashMatchesFullTraceHash(t *testing.T) {
 	key := func(name string, j Job) memo.Hash {
 		t.Helper()
@@ -330,11 +333,46 @@ func TestJobHashMatchesFullTraceHash(t *testing.T) {
 		}
 		return got
 	}
+	type fetched struct {
+		tr   *trace.Trace
+		hash [32]byte
+	}
+	decoded := make(map[*trace.Trace]fetched)
+	fetch := func(tr *trace.Trace) fetched {
+		t.Helper()
+		if f, ok := decoded[tr]; ok {
+			return f
+		}
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := trace.Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := cp.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded[tr] = fetched{cp, h}
+		return decoded[tr]
+	}
 	n := 0
 	for _, id := range IDs() {
 		for i, j := range Jobs(id) {
-			key(fmt.Sprintf("%s job %d", id, i), j)
+			name := fmt.Sprintf("%s job %d", id, i)
+			want := key(name, j)
 			n++
+			if j.Engine == nil {
+				continue
+			}
+			f := fetch(j.Engine.Trace)
+			cfg := *j.Engine
+			cfg.Trace = f.tr
+			if got, err := (Job{Engine: &cfg}).HashWithTraceHash(f.hash); err != nil || got != want {
+				t.Errorf("%s over a decoded copy of its trace: key %s (%v), want %s", name, got.Hex()[:12], err, want.Hex()[:12])
+			}
 		}
 	}
 	if n == 0 {

@@ -255,6 +255,10 @@ func (c *Coordinator) liveWorkersLocked(now time.Time) int {
 func (c *Coordinator) touchWorker(id string) *workerInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.touchWorkerLocked(id)
+}
+
+func (c *Coordinator) touchWorkerLocked(id string) *workerInfo {
 	w := c.workers[id]
 	if w == nil {
 		w = &workerInfo{}
@@ -415,23 +419,19 @@ func (c *Coordinator) completeRemote(h memo.Hash, payload []byte, res harness.Jo
 	e.state = stateDone
 	e.payload = payload
 	e.res = res
-	close(e.done)
-	c.mu.Unlock()
-
+	// Count before waking the sweep, so whoever reads the counters once it
+	// has returned sees this completion.
 	c.remoteCompleted.Add(1)
+	w := c.touchWorkerLocked(worker)
+	w.completed++
 	if cached {
 		c.remoteCacheHits.Add(1)
+		w.cacheHits++
 	} else {
 		c.remoteSimulated.Add(1)
 	}
-	if w := c.touchWorker(worker); w != nil {
-		c.mu.Lock()
-		w.completed++
-		if cached {
-			w.cacheHits++
-		}
-		c.mu.Unlock()
-	}
+	close(e.done)
+	c.mu.Unlock()
 	return "stored"
 }
 
@@ -459,9 +459,9 @@ func (c *Coordinator) completeLocal(e *distJob, res harness.JobResult) {
 	e.state = stateDone
 	e.payload = payload
 	e.res = res
+	c.localRuns.Add(1) // before the sweep wakes, as in completeRemote
 	close(e.done)
 	c.mu.Unlock()
-	c.localRuns.Add(1)
 }
 
 // failLease returns a leased job to the board (worker decode failure, hash

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -164,7 +165,10 @@ func TestDistributedByteIdentity(t *testing.T) {
 // and dies after one job: the server cancels its context once it has
 // answered the worker's first result post. Its abandoned leases expire and
 // are re-issued (to the surviving worker or the local fallback), and the
-// table is still byte-identical.
+// table is still byte-identical. The dying worker's loop must return on its
+// own, before the healthy worker is cancelled, and the coordinator must
+// list it with exactly the one completion it posted before the kill: a
+// worker that outlived its kill would complete more.
 func TestDistributedWorkerKilledMidSweep(t *testing.T) {
 	want := referenceTable(t, "fig12a")
 	jobs := int64(len(harness.Jobs("fig12a")))
@@ -187,6 +191,11 @@ func TestDistributedWorkerKilledMidSweep(t *testing.T) {
 	waitLive(t, srv, 2)
 
 	got := getTable(t, srv, "fig12a")
+	select {
+	case <-dying:
+	case <-time.After(5 * time.Second):
+		t.Error("the dying worker's loop did not return within 5s of its first result post")
+	}
 	cancel()
 	<-dying
 	<-healthy
@@ -199,6 +208,22 @@ func TestDistributedWorkerKilledMidSweep(t *testing.T) {
 	}
 	if st.DuplicateMismatches != 0 {
 		t.Errorf("%d duplicate mismatches", st.DuplicateMismatches)
+	}
+	resp, body := get(t, srv.URL+"/v1/jobs/status")
+	var out struct {
+		Workers []WorkerStatus `json:"workers"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status: %d %v", resp.StatusCode, err)
+	}
+	var completed int64 = -1
+	for _, ws := range out.Workers {
+		if ws.ID == "dying" {
+			completed = ws.Completed
+		}
+	}
+	if completed != 1 {
+		t.Errorf("the dying worker completed %d jobs, want 1 (workers %+v)", completed, out.Workers)
 	}
 }
 
@@ -349,6 +374,157 @@ func TestWarmWorkerCacheSkipsSimulation(t *testing.T) {
 				t.Errorf("warm run: %d local runs, want 0", st.LocalRuns)
 			}
 		}
+	}
+}
+
+// TestWorkerPostsStoredBytes runs fig12a through one worker three times,
+// each against a cold coordinator cache, so every job is leased each time.
+// The worker reads its store once per lease: all misses on the cold run,
+// all hits after, nothing else counted. Before the warm run, every entry in
+// the worker's store is rewritten as indented JSON, which decodes to the
+// same result in other bytes: each warm result frame must carry its entry
+// byte for byte, and each job count as a remote cache hit. Before the last
+// run, one job's entry becomes a payload that does not decode. The worker
+// posts it in a valid frame, and the coordinator must refuse it as 1
+// corrupt result, take the lease back and run the job itself. Every table
+// must match a local run.
+func TestWorkerPostsStoredBytes(t *testing.T) {
+	want := referenceTable(t, "fig12a")
+	jobs := harness.Jobs("fig12a")
+	n := int64(len(jobs))
+	var coord atomic.Pointer[Coordinator]
+	var mu sync.Mutex
+	posts := make(map[string][][]byte) // result frames by job hash
+	srv, c := distServerWrapped(t, CoordinatorConfig{
+		LeaseTTL:    10 * time.Second,
+		ClaimBudget: 10 * time.Second,
+	}, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/v1/jobs/result":
+				body, err := io.ReadAll(r.Body)
+				if err != nil {
+					t.Error(err)
+				}
+				mu.Lock()
+				posts[r.URL.Query().Get("hash")] = append(posts[r.URL.Query().Get("hash")], body)
+				mu.Unlock()
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			case "/v1/jobs/lease":
+				// A refused job goes back on the board, where this worker
+				// could lease it again and post the same entry before the
+				// coordinator claims it: polls wait for that claim.
+				deadline := time.Now().Add(5 * time.Second)
+				for board := coord.Load(); board != nil && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+					if st := board.Stats(); st.LocalRuns >= st.CorruptResults {
+						break
+					}
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	coord.Store(c)
+	workerStore := memo.InMemory()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := startWorker(ctx, srv.URL, "w0", workerStore)
+	defer func() { cancel(); <-done }()
+	waitLive(t, srv, 1)
+
+	// sweep runs fig12a against a cold coordinator cache and returns what
+	// the worker's store and the board counted, and the result posts.
+	sweep := func(name string) (memo.Stats, DistStats, map[string][][]byte) {
+		t.Helper()
+		mu.Lock()
+		posts = make(map[string][][]byte)
+		mu.Unlock()
+		ws0, b0 := workerStore.Stats(), c.Stats()
+		harness.SetStore(memo.InMemory()) // distServer's cleanup restores the original
+		if got := getTable(t, srv, "fig12a"); !bytes.Equal(got, want) {
+			t.Errorf("%s: table differs from local run", name)
+		}
+		ws, b := workerStore.Stats(), c.Stats()
+		mu.Lock()
+		defer mu.Unlock()
+		return memo.Stats{
+				Hits:           ws.Hits - ws0.Hits,
+				Misses:         ws.Misses - ws0.Misses,
+				PutEntries:     ws.PutEntries - ws0.PutEntries,
+				CorruptEntries: ws.CorruptEntries - ws0.CorruptEntries,
+			}, DistStats{
+				RemoteCompleted: b.RemoteCompleted - b0.RemoteCompleted,
+				RemoteCacheHits: b.RemoteCacheHits - b0.RemoteCacheHits,
+				LocalRuns:       b.LocalRuns - b0.LocalRuns,
+				FailedLeases:    b.FailedLeases - b0.FailedLeases,
+				CorruptResults:  b.CorruptResults - b0.CorruptResults,
+			}, posts
+	}
+	keys := make([]memo.Hash, len(jobs))
+	for i, j := range jobs {
+		h, err := j.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = h
+	}
+
+	ws, b, _ := sweep("cold")
+	if ws != (memo.Stats{Misses: n, PutEntries: n}) {
+		t.Errorf("cold: worker store counted %+v, want %d misses and %d puts only", ws, n, n)
+	}
+	if b.RemoteCompleted != n || b.RemoteCacheHits != 0 || b.LocalRuns != 0 {
+		t.Errorf("cold: remote=%d remote_cache_hits=%d local=%d, want %d/0/0", b.RemoteCompleted, b.RemoteCacheHits, b.LocalRuns, n)
+	}
+
+	entries := make(map[string][]byte, len(keys))
+	for _, h := range keys {
+		payload, ok := workerStore.Get(h)
+		if !ok {
+			t.Fatalf("job %s is not in the worker's store after the cold run", h.Hex()[:12])
+		}
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, payload, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		entries[h.Hex()] = indented.Bytes()
+		workerStore.Put(h, indented.Bytes())
+	}
+	ws, b, frames := sweep("warm")
+	if ws != (memo.Stats{Hits: n}) {
+		t.Errorf("warm: worker store counted %+v, want %d hits only", ws, n)
+	}
+	if b.RemoteCompleted != n || b.RemoteCacheHits != n || b.LocalRuns != 0 || b.CorruptResults != 0 {
+		t.Errorf("warm: remote=%d remote_cache_hits=%d local=%d corrupt=%d, want %d/%d/0/0",
+			b.RemoteCompleted, b.RemoteCacheHits, b.LocalRuns, b.CorruptResults, n, n)
+	}
+	if len(frames) != len(entries) {
+		t.Errorf("warm: result posts for %d jobs, want %d", len(frames), len(entries))
+	}
+	for hx, fs := range frames {
+		h, err := parseHash(hx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fs) != 1 || !bytes.Equal(fs[0], memo.EncodeFrame(h, entries[hx])) {
+			t.Errorf("warm: job %.12s: %d result posts, the first not its stored entry in a frame", hx, len(fs))
+		}
+	}
+
+	poisoned := keys[len(keys)/2]
+	workerStore.Put(poisoned, []byte("not a result"))
+	ws, b, frames = sweep("poisoned")
+	if ws != (memo.Stats{Hits: n}) {
+		t.Errorf("poisoned: worker store counted %+v, want %d hits only", ws, n)
+	}
+	if b.CorruptResults != 1 || b.FailedLeases != 1 || b.LocalRuns != 1 || b.RemoteCompleted != n-1 {
+		t.Errorf("poisoned: corrupt=%d failed_leases=%d local=%d remote=%d, want 1/1/1/%d",
+			b.CorruptResults, b.FailedLeases, b.LocalRuns, b.RemoteCompleted, n-1)
+	}
+	if fs := frames[poisoned.Hex()]; len(fs) != 1 || !bytes.Equal(fs[0], memo.EncodeFrame(poisoned, []byte("not a result"))) {
+		t.Errorf("poisoned: %d result posts for the poisoned job, want 1 carrying its entry", len(fs))
+	}
+	if st := c.Stats(); st.DuplicateMismatches != 0 {
+		t.Errorf("%d duplicate mismatches", st.DuplicateMismatches)
 	}
 }
 

@@ -292,7 +292,7 @@ func TestWorkerTraceCacheBudget(t *testing.T) {
 	for i, size := range []int{400, 300, 500, 1000, 1001, 200, 700, 100, 1, 999} {
 		var h memo.Hash
 		h[0] = byte(i + 1)
-		c.add(h, &trace.Trace{}, size)
+		c.add(h, cachedTrace{tr: &trace.Trace{}, size: size})
 		sum := 0
 		for _, e := range c.byHash {
 			sum += e.size
@@ -437,5 +437,80 @@ func TestWorkerBoundsTraceFetch(t *testing.T) {
 	}
 	if len(w.traces.byHash) != 0 {
 		t.Errorf("%d traces cached after a refused fetch", len(w.traces.byHash))
+	}
+}
+
+// TestWorkerKeysMatchFullTraceHash leases every first-phase engine job of
+// every experiment to one worker, under the key Job.Hash gives it (the key
+// built from the full trace hash, by TestJobHashMatchesFullTraceHash), from
+// a fake coordinator that serves each trace's PIFSTRC1 bytes. Every lease
+// must resolve: the worker keys each job from the hash its cache holds for
+// the fetched, decoded trace. The first trace is served with one trailing
+// byte and named by those bytes' SHA-256. trace.Read ignores the byte, so
+// that trace's jobs must resolve too, and the cache must hold the decoded
+// trace's own hash for it, not its name. Each trace is fetched once.
+func TestWorkerKeysMatchFullTraceHash(t *testing.T) {
+	served := make(map[string][]byte) // by name
+	names := make(map[*trace.Trace]memo.Hash)
+	var trailing *trace.Trace
+	fetches := 0
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/traces/", func(w http.ResponseWriter, r *http.Request) {
+		fetches++
+		w.Write(served[strings.TrimPrefix(r.URL.Path, "/v1/traces/")])
+	})
+	w := newWorker(WorkerConfig{ID: "t", Runner: harness.NewRunner(1)})
+	w.base = "http://coordinator"
+	w.client = &http.Client{Transport: handlerTransport{mux}}
+
+	n := 0
+	for _, id := range harness.IDs() {
+		for i, j := range harness.Jobs(id) {
+			if j.Engine == nil {
+				continue
+			}
+			name, ok := names[j.Engine.Trace]
+			if !ok {
+				raw := encodeJobTrace(t, j).raw
+				if trailing == nil {
+					trailing = j.Engine.Trace
+					raw = append(bytes.Clone(raw), 0)
+				}
+				name = sha256.Sum256(raw)
+				names[j.Engine.Trace] = name
+				served[name.Hex()] = raw
+			}
+			key, err := j.Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire, err := harness.EncodeJob(j)
+			if err != nil {
+				t.Fatalf("%s job %d: %v", id, i, err)
+			}
+			if _, _, err := w.resolve(context.Background(), leaseWire{Lease: 1, Hash: key.Hex(), Job: wire, Trace: name.Hex()}); err != nil {
+				t.Errorf("%s job %d: %v", id, i, err)
+			}
+			n++
+		}
+	}
+	if n == 0 || trailing == nil {
+		t.Fatal("no experiment has first-phase engine jobs")
+	}
+	t.Logf("%d engine jobs over %d traces resolved", n, len(names))
+	for tr, name := range names {
+		want, err := tr.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct, ok := w.traces.byHash[name]; !ok || ct.hash != want {
+			t.Errorf("trace %s: cached=%v with hash %x, want the decoded trace's %x", name.Hex()[:12], ok, ct.hash[:6], want[:6])
+		}
+		if tr == trailing && name == want {
+			t.Error("the trace served with a trailing byte is named by its own hash")
+		}
+	}
+	if fetches != len(names) {
+		t.Errorf("%d trace fetches, want one per trace (%d)", fetches, len(names))
 	}
 }

@@ -1,20 +1,23 @@
 // worker.go is the pull half of distributed sweep execution: a loop that
-// leases jobs from a coordinator, runs them through the same memoized
-// RunJobs path a local sweep uses (so a worker answers from its own result
-// cache first and simulates only jobs it has never seen), and posts
-// CRC-framed results back.
+// leases jobs from a coordinator, answers each from the worker's own result
+// cache or simulates it (only jobs it has never seen), and posts CRC-framed
+// results back. A cache hit travels as stored: the worker posts the entry's
+// bytes without decoding them, and the coordinator, which decodes every
+// post, refuses one that does not decode.
 //
 // A lease names an engine job's trace by its content hash. The worker keeps
 // the traces it has checked in a bounded cache, so it fetches each trace
-// from the coordinator (GET /v1/traces/{hash}) once, not once per job.
+// from the coordinator (GET /v1/traces/{hash}) once, not once per job, and
+// hashes the decoded trace once per fetch, not once per job.
 //
 // The worker trusts nothing about the wire: a fetched trace is used only
 // if its SHA-256 matches the name the lease gave it and it decodes as
 // PIFSTRC1, and every leased job is decoded, its trace attached, its
-// content hash recomputed from the DECODED form, and compared against the
-// hash it was leased under. A failed fetch, codec drift or corrupt lease
-// turns into a returned lease (the coordinator runs the job itself), never
-// into a result stored under the wrong key.
+// content hash recomputed from the DECODED form (over the decoded trace's
+// own hash, which the fetched bytes' SHA-256 need not equal), and compared
+// against the hash it was leased under. A failed fetch, codec drift or
+// corrupt lease turns into a returned lease (the coordinator runs the job
+// itself), never into a result stored under the wrong key.
 package serve
 
 import (
@@ -90,18 +93,21 @@ const (
 	traceCacheBytes = 64 << 20 // every trace a worker keeps
 )
 
-// traceCache holds the traces a worker has fetched and checked, by content
-// hash, within a budget of PIFSTRC1 bytes; the oldest leave first to make
-// room. Only the worker loop touches it, so it needs no lock. The jobs that
-// run on a cached trace share it read-only.
+// traceCache holds the traces a worker has fetched and checked, by the name
+// a lease gave them, within a budget of fetched bytes; the oldest leave
+// first to make room. Only the worker loop touches it, so it needs no lock.
+// The jobs that run on a cached trace share it read-only.
 type traceCache struct {
 	budget, used int
 	byHash       map[memo.Hash]cachedTrace
 	order        []memo.Hash // insertion order, oldest first
 }
 
+// cachedTrace is one fetched trace: decoded, with the hash every job key
+// over it folds in, and the size of the bytes it was decoded from.
 type cachedTrace struct {
 	tr   *trace.Trace
+	hash [32]byte // tr.Hash(), computed once per fetch
 	size int
 }
 
@@ -109,21 +115,21 @@ func newTraceCache(budget int) *traceCache {
 	return &traceCache{budget: budget, byHash: make(map[memo.Hash]cachedTrace)}
 }
 
-// add keeps tr, whose PIFSTRC1 form is size bytes, evicting the oldest
-// traces until it fits. A trace larger than the whole budget is not kept.
-func (c *traceCache) add(h memo.Hash, tr *trace.Trace, size int) {
-	if _, ok := c.byHash[h]; ok || size > c.budget {
+// add keeps ct under name, evicting the oldest traces until it fits. A
+// trace larger than the whole budget is not kept.
+func (c *traceCache) add(name memo.Hash, ct cachedTrace) {
+	if _, ok := c.byHash[name]; ok || ct.size > c.budget {
 		return
 	}
-	for c.used+size > c.budget {
+	for c.used+ct.size > c.budget {
 		old := c.order[0]
 		c.order = c.order[1:]
 		c.used -= c.byHash[old].size
 		delete(c.byHash, old)
 	}
-	c.byHash[h] = cachedTrace{tr: tr, size: size}
-	c.order = append(c.order, h)
-	c.used += size
+	c.byHash[name] = ct
+	c.order = append(c.order, name)
+	c.used += ct.size
 }
 
 // worker is one RunWorker loop's state.
@@ -244,11 +250,7 @@ func (w *worker) runLease(ctx context.Context, l leaseWire) {
 		return
 	}
 
-	missesBefore := w.cfg.Store.Stats().Misses
-	res := w.cfg.Runner.RunJobsLocal(w.cfg.Store, []harness.Job{job})[0]
-	cached := w.cfg.Store.Stats().Misses == missesBefore
-
-	payload, err := harness.EncodeJobResult(res)
+	payload, cached, err := w.cfg.Runner.RunJobPayload(w.cfg.Store, job, want)
 	if err != nil {
 		w.logf("worker %s: lease %d (%s): encoding result: %v; returning", w.cfg.ID, l.Lease, l.Hash[:12], err)
 		w.postFail(ctx, l)
@@ -280,12 +282,15 @@ func (w *worker) resolve(ctx context.Context, l leaseWire) (harness.Job, memo.Ha
 	if (job.Engine != nil) != (l.Trace != "") {
 		return harness.Job{}, want, fmt.Errorf("trace name %q does not fit the job's kind", l.Trace)
 	}
+	var traceHash [32]byte
 	if job.Engine != nil {
-		if job.Engine.Trace, err = w.trace(ctx, l.Trace); err != nil {
+		ct, err := w.trace(ctx, l.Trace)
+		if err != nil {
 			return harness.Job{}, want, err
 		}
+		job.Engine.Trace, traceHash = ct.tr, ct.hash
 	}
-	if got, err := job.Hash(); err != nil || got != want {
+	if got, err := job.HashWithTraceHash(traceHash); err != nil || got != want {
 		// The decoded job, trace attached, does not reproduce the leased
 		// identity: codec drift, a mixed-version fleet or a wrong trace.
 		// Running it would compute SOME result, but not the one this hash
@@ -297,28 +302,36 @@ func (w *worker) resolve(ctx context.Context, l leaseWire) (harness.Job, memo.Ha
 
 // trace returns the trace a lease names by its hex content hash: from the
 // cache, or fetched from the coordinator and kept once its SHA-256 matches
-// the name and it decodes as PIFSTRC1.
-func (w *worker) trace(ctx context.Context, name string) (*trace.Trace, error) {
+// the name and it decodes as PIFSTRC1. The decoded trace is hashed here,
+// once per fetch, and that hash keys every job over it: trace.Read ignores
+// bytes after the last bag, so the name need not be the decoded trace's
+// hash.
+func (w *worker) trace(ctx context.Context, name string) (cachedTrace, error) {
 	h, err := parseHash(name)
 	if err != nil {
-		return nil, fmt.Errorf("trace name: %w", err)
+		return cachedTrace{}, fmt.Errorf("trace name: %w", err)
 	}
-	if c, ok := w.traces.byHash[h]; ok {
-		return c.tr, nil
+	if ct, ok := w.traces.byHash[h]; ok {
+		return ct, nil
 	}
 	raw, err := w.fetchTrace(ctx, name)
 	if err != nil {
-		return nil, err
+		return cachedTrace{}, err
 	}
 	if sum := sha256.Sum256(raw); sum != h {
-		return nil, fmt.Errorf("trace %.12s: fetched %d bytes hash to %x", name, len(raw), sum[:6])
+		return cachedTrace{}, fmt.Errorf("trace %.12s: fetched %d bytes hash to %x", name, len(raw), sum[:6])
 	}
 	tr, err := trace.Read(bytes.NewReader(raw))
 	if err != nil {
-		return nil, fmt.Errorf("trace %.12s: %w", name, err)
+		return cachedTrace{}, fmt.Errorf("trace %.12s: %w", name, err)
 	}
-	w.traces.add(h, tr, len(raw))
-	return tr, nil
+	th, err := tr.Hash()
+	if err != nil {
+		return cachedTrace{}, fmt.Errorf("trace %.12s: %w", name, err)
+	}
+	ct := cachedTrace{tr: tr, hash: th, size: len(raw)}
+	w.traces.add(h, ct)
+	return ct, nil
 }
 
 // fetchTrace reads the bytes the coordinator serves for a trace name, at
