@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"strings"
 
 	"pifsrec/internal/harness"
@@ -55,7 +56,7 @@ func main() {
 	// Unknown ids are a usage error: fail fast with the valid set and exit
 	// code 2 before any sweep starts.
 	if id != "all" {
-		if _, ok := harness.Experiments()[id]; !ok {
+		if !slices.Contains(harness.IDs(), id) {
 			fmt.Fprintf(os.Stderr, "pifsbench: unknown experiment %q (have %v)\n", id, harness.IDs())
 			os.Exit(2)
 		}

@@ -111,7 +111,7 @@ func main() {
 			ClaimBudget: *claimBudget,
 			Log:         lg,
 		})
-		coord.Install()
+		harness.SetDistributor(coord.RunMissing)
 		lg.Printf("serving on %s (cache: %s; lease-ttl %v, claim-budget %v)",
 			*serveAddr, cacheDesc(*cacheDir), *leaseTTL, *claimBudget)
 		if err := newServer(*serveAddr, serve.Handler(serve.Options{Coordinator: coord, Log: lg})).ListenAndServe(); err != nil {

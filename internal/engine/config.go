@@ -7,6 +7,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"pifsrec/internal/dlrm"
 	"pifsrec/internal/fault"
@@ -68,16 +69,9 @@ type Config struct {
 	// cost-balanced bin-packing over their static weights (sim.PlaceGroups),
 	// and they advance in conservative time windows bounded by the minimum
 	// CXL link latency, so a big configuration scales across cores. Results
-	// are byte-identical at every shard count and under every placement.
+	// are byte-identical at every shard count and under every placement the
+	// engine tests force.
 	Shards int
-
-	// Placement replaces sim.PlaceGroups with another policy (groups ->
-	// workers), evaluated once like the default. Placement is pure
-	// scheduling — results never depend on it; the property tests exploit
-	// this field to prove it. Nil selects the default. Excluded from the
-	// JSON form (a func type has no wire representation); jobs carrying one
-	// are not distributable and run on the coordinator.
-	Placement sim.PlacementPolicy `json:"-"`
 
 	// LocalFraction is the share of the embedding footprint that fits in
 	// local DRAM (stand-in for the paper's fixed 128 GB against multi-TB
@@ -183,8 +177,13 @@ func (c *Config) fillDefaults() error {
 	if c.LocalFraction == 0 {
 		c.LocalFraction = 0.125
 	}
-	if c.LocalFraction < 0 || c.LocalFraction >= 1 {
+	if !(c.LocalFraction >= 0 && c.LocalFraction < 1) {
 		return fmt.Errorf("engine: LocalFraction %v outside [0,1)", c.LocalFraction)
+	}
+	for _, thr := range []float64{c.ColdAgeThreshold, c.MigrateThreshold} {
+		if math.IsNaN(thr) || math.IsInf(thr, 0) {
+			return fmt.Errorf("engine: page-management threshold %v is not finite", thr)
+		}
 	}
 	if c.HostParallelism == 0 {
 		// Deep enough that the run is bandwidth-bound, the regime the

@@ -27,11 +27,11 @@ var configMagic = [8]byte{'P', 'I', 'F', 'S', 'C', 'F', 'G', 0 + configEncodingV
 // explicit default encode identically and an invalid config is an error
 // here rather than a bogus cache key.
 //
-// Shards and Placement are deliberately NOT part of the identity: results
-// are byte-identical at every shard count and under every placement policy
-// (the determinism gates from the sharded-engine and component-model work),
-// so they are scheduling decisions, not inputs. The trace contributes its
-// content hash (trace.Trace.Hash), not its bytes.
+// Shards is deliberately NOT part of the identity: results are
+// byte-identical at every shard count and group placement (the determinism
+// gates from the sharded-engine and component-model work), so it is a
+// scheduling decision, not an input. The trace contributes its content hash
+// (trace.Trace.Hash), not its bytes.
 func (c Config) CanonicalBinary() ([]byte, error) {
 	var traceHash [32]byte
 	if c.Trace != nil { // a nil trace is fillDefaults' error

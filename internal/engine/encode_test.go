@@ -64,9 +64,9 @@ func TestCanonicalBinaryNormalizes(t *testing.T) {
 	}
 }
 
-// TestCanonicalBinaryExcludesScheduling asserts Shards and Placement do not
-// change the identity: results are byte-identical at every shard count and
-// placement (the determinism gates), so they are scheduling, not input.
+// TestCanonicalBinaryExcludesScheduling asserts Shards does not change the
+// identity: results are byte-identical at every shard count (the
+// determinism gates), so it is scheduling, not input.
 func TestCanonicalBinaryExcludesScheduling(t *testing.T) {
 	base := baseEncodeConfig(t)
 	want := encodeConfig(t, base)
@@ -75,17 +75,6 @@ func TestCanonicalBinaryExcludesScheduling(t *testing.T) {
 	sharded.Shards = 3
 	if !bytes.Equal(want, encodeConfig(t, sharded)) {
 		t.Error("Shards changed the canonical encoding; it must stay a scheduling decision")
-	}
-	placed := base
-	placed.Placement = func(weights []float64, workers int) []int32 { // round-robin deal
-		out := make([]int32, len(weights))
-		for g := range out {
-			out[g] = int32(g % workers)
-		}
-		return out
-	}
-	if !bytes.Equal(want, encodeConfig(t, placed)) {
-		t.Error("Placement changed the canonical encoding; it must stay a scheduling decision")
 	}
 }
 

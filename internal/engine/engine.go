@@ -349,7 +349,6 @@ func deviceGeometry() dram.Geometry {
 func build(cfg Config) (*system, error) {
 	s := &system{cfg: cfg}
 	s.se = sim.NewSharded(shardCount(cfg), cxl.PortOverheadNS)
-	s.se.SetPlacement(cfg.Placement)
 	// One placement group per host, switch, and device, in endpoint order;
 	// weights accrue as components register.
 	for g := 0; g < cfg.Hosts+cfg.Switches+cfg.Devices; g++ {

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	"pifsrec/internal/dlrm"
+	"pifsrec/internal/scenario"
 	"pifsrec/internal/trace"
 )
 
@@ -258,6 +260,38 @@ func TestZeroIndexBagIsConfigError(t *testing.T) {
 	}
 	if _, err := cfg.CanonicalBinary(); err == nil || err.Error() != want {
 		t.Errorf("CanonicalBinary: error %v, want %q", err, want)
+	}
+}
+
+// TestNonFiniteConfigIsError: a NaN or infinite config float has no JSON
+// form and no meaning, so Run and CanonicalBinary both reject it, whatever
+// the scenario kind that carries it.
+func TestNonFiniteConfigIsError(t *testing.T) {
+	model := testModel()
+	tr := testTrace(t, trace.Uniform, model, 1)
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := map[string]func(*Config){
+		"LocalFraction NaN":     func(c *Config) { c.LocalFraction = nan },
+		"LocalFraction +Inf":    func(c *Config) { c.LocalFraction = inf },
+		"ColdAgeThreshold NaN":  func(c *Config) { c.ColdAgeThreshold = nan },
+		"ColdAgeThreshold -Inf": func(c *Config) { c.ColdAgeThreshold = -inf },
+		"MigrateThreshold NaN":  func(c *Config) { c.MigrateThreshold = nan },
+		"MigrateThreshold +Inf": func(c *Config) { c.MigrateThreshold = inf },
+	}
+	for _, kind := range scenario.Kinds() {
+		cases[string(kind)+" Swing NaN"] = func(c *Config) {
+			c.Scenario = &scenario.Spec{Kind: kind, QPS: 1e6, Swing: nan, ArrivalTracePath: "arrivals.trc"}
+		}
+	}
+	for name, edit := range cases {
+		cfg := Config{Scheme: PIFSRec, Model: model, Trace: tr, Seed: 3}
+		edit(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s: Run accepted the config", name)
+		}
+		if _, err := cfg.CanonicalBinary(); err == nil {
+			t.Errorf("%s: CanonicalBinary accepted the config", name)
+		}
 	}
 }
 

@@ -73,8 +73,7 @@ func TestFaultDeterminismAcrossShardsAndPlacements(t *testing.T) {
 			for _, pp := range placementPolicies() {
 				placed := faulted
 				placed.Shards = n
-				placed.Placement = pp.policy
-				r, err := Run(placed)
+				r, err := runPlaced(placed, pp.policy)
 				if err != nil {
 					t.Fatalf("%s shards=%d %s: %v", name, n, pp.name, err)
 				}

@@ -117,8 +117,7 @@ func TestScenarioDeterminismProperty(t *testing.T) {
 				for _, pol := range placementPolicies() {
 					c := base
 					c.Shards = shards
-					c.Placement = pol.policy
-					got, err := Run(c)
+					got, err := runPlaced(c, pol.policy)
 					if err != nil {
 						t.Fatalf("shards=%d policy=%s: %v", shards, pol.name, err)
 					}

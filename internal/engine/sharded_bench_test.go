@@ -81,10 +81,10 @@ func BenchmarkShardedBigConfig(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=4/place=%s", pl.name), func(b *testing.B) {
 			cfg := Config{
 				Scheme: PIFSRec, Model: m, Trace: tr, Seed: 3,
-				Devices: 8, EpochBags: 16, Shards: 4, Placement: pl.policy,
+				Devices: 8, EpochBags: 16, Shards: 4,
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(cfg); err != nil {
+				if _, err := runPlaced(cfg, pl.policy); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -27,11 +27,10 @@ func noSched(r Result) Result {
 	return r
 }
 
-// runNoElide is Run with barrier elision off: it builds the system, drops
-// the barrier's idle predicate so no window can be proven skippable, and
-// runs it. Elision is pure scheduling, so the result must equal Run's in
-// everything but Sched.
-func runNoElide(cfg Config) (Result, error) {
+// runBuilt is Run with a hook between building the system and running it:
+// adjust may change how the sharded engine schedules the run, never what
+// it simulates.
+func runBuilt(cfg Config, adjust func(*sim.ShardedEngine)) (Result, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return Result{}, err
 	}
@@ -39,8 +38,22 @@ func runNoElide(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	s.se.SetBarrierIdle(nil)
+	adjust(s.se)
 	return s.run()
+}
+
+// runNoElide is Run with barrier elision off: it drops the barrier's idle
+// predicate so no window can be proven skippable. Elision is pure
+// scheduling, so the result must equal Run's in everything but Sched.
+func runNoElide(cfg Config) (Result, error) {
+	return runBuilt(cfg, func(se *sim.ShardedEngine) { se.SetBarrierIdle(nil) })
+}
+
+// runPlaced is Run with the groups placed by policy instead of
+// sim.PlaceGroups. engine.Config has no placement field: placement is pure
+// scheduling, so only the tests that prove it force one.
+func runPlaced(cfg Config, policy sim.PlacementPolicy) (Result, error) {
+	return runBuilt(cfg, func(se *sim.ShardedEngine) { se.SetPlacement(policy) })
 }
 
 // TestShardCountInvariantMatrix runs the full scheme x trace-kind matrix at
@@ -144,11 +157,11 @@ func placementPolicies() []struct {
 }
 
 // TestPlacementInvariantProperty is the placement-independence property
-// test: the same configurations as the scale-out matrix, run at several
-// worker counts under every adversarial placement policy, must produce
-// Results identical to the 1-worker cost-balanced reference. Placement is
-// pure scheduling — any divergence means mid-window shared state leaked
-// between groups.
+// test: the same configurations as the scale-out matrix, and every scheme
+// on the default topology, run at several worker counts under every
+// adversarial placement policy, must produce Results identical to the
+// 1-worker cost-balanced reference. Placement is pure scheduling — any
+// divergence means mid-window shared state leaked between groups.
 func TestPlacementInvariantProperty(t *testing.T) {
 	m := dlrm.RMC4().Scaled(64)
 	tr, err := trace.Generate(trace.Spec{
@@ -168,6 +181,9 @@ func TestPlacementInvariantProperty(t *testing.T) {
 		{Scheme: PIFSRec, Model: m, Trace: tr, Seed: 3, Switches: 2, Devices: 6, Hosts: 3, HostParallelism: 8,
 			Scenario: &scenario.Spec{Kind: scenario.Poisson, QPS: 5e5, SLONS: 100_000, Seed: 9}},
 	}
+	for _, s := range Schemes() {
+		cases = append(cases, Config{Scheme: s, Model: m, Trace: tr, Seed: 3})
+	}
 	for ci, cfg := range cases {
 		base, err := Run(cfg)
 		if err != nil {
@@ -177,8 +193,7 @@ func TestPlacementInvariantProperty(t *testing.T) {
 			for _, pp := range placementPolicies() {
 				placed := cfg
 				placed.Shards = n
-				placed.Placement = pp.policy
-				r, err := Run(placed)
+				r, err := runPlaced(placed, pp.policy)
 				if err != nil {
 					t.Fatalf("case %d shards=%d %s: %v", ci, n, pp.name, err)
 				}

@@ -973,17 +973,6 @@ func specs() map[string]spec {
 	}
 }
 
-// Experiments maps experiment ids to runnable table builders (the
-// job/assemble specs bound to the default runner).
-func Experiments() map[string]func() *report.Table {
-	sps := specs()
-	out := make(map[string]func() *report.Table, len(sps))
-	for id, sp := range sps {
-		out[id] = func() *report.Table { return pool.runSpec(sp) }
-	}
-	return out
-}
-
 // IDs returns the experiment identifiers in a stable order.
 func IDs() []string {
 	m := specs()

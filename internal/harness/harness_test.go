@@ -14,8 +14,8 @@ import (
 
 func TestIDsStable(t *testing.T) {
 	ids := IDs()
-	if len(ids) != len(Experiments()) {
-		t.Fatal("IDs out of sync with Experiments")
+	if len(ids) != len(specs()) {
+		t.Fatal("IDs out of sync with specs")
 	}
 	for i := 1; i < len(ids); i++ {
 		if ids[i] <= ids[i-1] {

@@ -132,7 +132,7 @@ func (r *Runner) RunConfigsIsolated(cfgs []engine.Config) ([]engine.Result, []er
 var pool = NewRunner(0)
 
 // DefaultRunner returns the package's current default pool (the one behind
-// Experiments/Run/RunAll). The serve mode uses it to answer raw config
+// Run/RunTable/RunAll). The serve mode uses it to answer raw config
 // sweeps through the same memoized path as the named experiments.
 func DefaultRunner() *Runner { return pool }
 

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"pifsrec/internal/engine"
 	"pifsrec/internal/report"
-	"pifsrec/internal/sim"
 	"pifsrec/internal/trace"
 )
 
@@ -90,47 +90,6 @@ func TestFiguresByteIdenticalAcrossPoolWidths(t *testing.T) {
 	}
 }
 
-// TestReportTablesPlacementInvariant renders a scheme sweep under forced
-// placement policies and requires byte-identical tables — the table-level
-// form of the placement-independence property.
-func TestReportTablesPlacementInvariant(t *testing.T) {
-	m := scaledRMC4()
-	tr := traceFor(trace.MetaLike, m, 1)
-	render := func(policy sim.PlacementPolicy) string {
-		tbl := &report.Table{
-			Title:  "placement-invariance matrix",
-			Header: []string{"scheme", "ns/bag", "total ns", "up bytes", "buffer hit%"},
-		}
-		var cfgs []engine.Config
-		for _, s := range engine.Schemes() {
-			cfg := schemeConfig(s, m, tr)
-			cfg.Shards = 3
-			cfg.Placement = policy
-			cfgs = append(cfgs, cfg)
-		}
-		for _, r := range pool.RunConfigs(cfgs) {
-			tbl.AddRow(string(r.Scheme), r.NSPerBag, r.TotalNS, r.HostLinkUpBytes, 100*r.BufferHitRatio)
-		}
-		return tbl.String()
-	}
-	base := render(nil) // the PlaceGroups default
-	policies := []sim.PlacementPolicy{
-		func(weights []float64, _ int) []int32 { return make([]int32, len(weights)) }, // all on one
-		func(weights []float64, workers int) []int32 { // reverse deal
-			out := make([]int32, len(weights))
-			for g := range out {
-				out[g] = int32((len(weights) - 1 - g) % workers)
-			}
-			return out
-		},
-	}
-	for i, p := range policies {
-		if got := render(p); got != base {
-			t.Errorf("table under placement policy %d differs from the default:\n%s\nvs\n%s", i, got, base)
-		}
-	}
-}
-
 // TestReportTablesShardInvariant renders the same scheme sweep as a report
 // table at several explicit shard counts and requires byte-identical output
 // against the 1-shard engine — the table-level form of the engine's
@@ -163,15 +122,18 @@ func TestReportTablesShardInvariant(t *testing.T) {
 }
 
 // TestRunConfigsIsolatedContainsPanic submits a sweep with one
-// deliberately-panicking configuration (a placement policy that panics when
-// the engine places its groups) and one erroring configuration (unknown
-// scheme): each must land in its own error slot while every healthy
-// configuration still produces its normal result.
+// deliberately-panicking configuration (a bag whose row lies past its
+// table, which engine.Run does not check and the embedding layout panics
+// on) and one erroring configuration (unknown scheme): each must land in
+// its own error slot while every healthy configuration still produces its
+// normal result.
 func TestRunConfigsIsolatedContainsPanic(t *testing.T) {
 	m := scaledRMC4()
 	good := traceFor(trace.MetaLike, m, 1)
-	poison := schemeConfig(engine.PIFSRec, m, good)
-	poison.Placement = func([]float64, int) []int32 { panic("poisoned placement policy") }
+	bad := *good // a copy: the shared trace stays as traceFor made it
+	bad.Bags = slices.Clone(good.Bags)
+	bad.Bags[0].Indices = []uint32{uint32(m.EmbRows)}
+	poison := schemeConfig(engine.PIFSRec, m, &bad)
 	cfgs := []engine.Config{
 		schemeConfig(engine.PIFSRec, m, good),
 		poison,
@@ -184,7 +146,7 @@ func TestRunConfigsIsolatedContainsPanic(t *testing.T) {
 			t.Fatalf("workers=%d: slots %d/%d, want %d", workers, len(results), len(errs), len(cfgs))
 		}
 		if errs[1] == nil || !strings.Contains(errs[1].Error(), "panicked") ||
-			!strings.Contains(errs[1].Error(), "config 1") {
+			!strings.Contains(errs[1].Error(), "config 1") || !strings.Contains(errs[1].Error(), "layout access") {
 			t.Errorf("workers=%d: panicking config error = %v, want a named panic row", workers, errs[1])
 		}
 		if errs[3] == nil || strings.Contains(errs[3].Error(), "panicked") {

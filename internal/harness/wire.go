@@ -16,7 +16,7 @@ import (
 //	magic   [8]byte  "PIFSJOB2"
 //	version u8       wire version (jobWireVersion)
 //	kind    u8       1 = engine job, 2 = numasim job
-//	engine: u32-framed config JSON (trace and placement excluded)
+//	engine: u32-framed config JSON (trace excluded)
 //	numa:   u32-framed NumaJob JSON
 //	crc     u32      IEEE CRC-32 over everything before it
 //
@@ -45,13 +45,11 @@ const (
 	jobKindNuma   = 2
 )
 
-// EncodeJob serializes a job for the distribution wire. Jobs carrying
-// process-local state with no wire form — an engine config with a custom
-// Placement policy, or no trace for a lease to name — are not distributable
-// and return an error; the coordinator runs those locally. The trace itself
-// is left off the wire (see the layout above). The pure-scheduling Shards
-// field is stripped: the worker runs the job at its default, and results are
-// byte-identical regardless.
+// EncodeJob serializes a job for the distribution wire. It fails only on a
+// job that sets neither or both of Engine/Numa, or on a config JSON cannot
+// encode. The trace is left off the wire (see the layout above). The
+// pure-scheduling Shards field is stripped: the worker runs the job at its
+// default, and results are byte-identical regardless.
 func EncodeJob(j Job) ([]byte, error) {
 	b := make([]byte, 0, 512)
 	b = append(b, jobWireMagic[:]...)
@@ -59,12 +57,6 @@ func EncodeJob(j Job) ([]byte, error) {
 	switch {
 	case j.Engine != nil && j.Numa == nil:
 		cfg := *j.Engine
-		if cfg.Placement != nil {
-			return nil, fmt.Errorf("harness: job with a custom Placement policy is not wire-encodable")
-		}
-		if cfg.Trace == nil {
-			return nil, fmt.Errorf("harness: job with no trace is not wire-encodable")
-		}
 		cfg.Trace = nil
 		cfg.Shards = 0
 		cj, err := json.Marshal(cfg)

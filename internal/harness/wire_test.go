@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"testing"
 
 	"pifsrec/internal/trace"
@@ -88,20 +89,21 @@ func TestJobWireSchedulingStripped(t *testing.T) {
 	}
 }
 
+// TestEncodeJobRejectsNonDistributable: every job that hashes can travel,
+// so EncodeJob refuses only a malformed job (neither or both of
+// Engine/Numa) and a config with no JSON form.
 func TestEncodeJobRejectsNonDistributable(t *testing.T) {
 	if _, err := EncodeJob(Job{}); err == nil {
 		t.Error("empty job encoded")
 	}
-	eng := Jobs("fig12a")[0]
-	cfg := *eng.Engine
-	cfg.Placement = func(weights []float64, workers int) []int32 { return nil }
-	if _, err := EncodeJob(Job{Engine: &cfg}); err == nil {
-		t.Error("job with a custom Placement policy encoded")
+	eng, numa := Jobs("fig12a")[0], Jobs("fig5")[0]
+	if _, err := EncodeJob(Job{Engine: eng.Engine, Numa: numa.Numa}); err == nil {
+		t.Error("job with both Engine and Numa encoded")
 	}
-	cfg2 := *eng.Engine
-	cfg2.Trace = nil
-	if _, err := EncodeJob(Job{Engine: &cfg2}); err == nil {
-		t.Error("job with no trace encoded")
+	cfg := *eng.Engine
+	cfg.LocalFraction = math.NaN()
+	if _, err := EncodeJob(Job{Engine: &cfg}); err == nil {
+		t.Error("config with a NaN field encoded")
 	}
 }
 

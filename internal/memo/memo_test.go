@@ -155,6 +155,39 @@ func TestStorePersistsAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestStoreDelete asserts a deleted entry is gone from memory and disk,
+// also for a fresh store over the same directory, and that its neighbour
+// stays.
+func TestStoreDelete(t *testing.T) {
+	dir := t.TempDir()
+	disk, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, kept := New("gone").Sum(), New("kept").Sum()
+	for _, s := range []*Store{InMemory(), disk} {
+		for _, k := range []Hash{gone, kept} {
+			if err := s.Put(k, []byte("payload")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Delete(gone)
+		if _, ok := s.Get(gone); ok {
+			t.Errorf("store %q: deleted entry still read", s.Dir())
+		}
+		if _, ok := s.Get(kept); !ok {
+			t.Errorf("store %q: Delete dropped another entry", s.Dir())
+		}
+	}
+	reopened, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := reopened.Get(gone); ok {
+		t.Error("deleted entry still on disk")
+	}
+}
+
 func TestInMemoryStore(t *testing.T) {
 	s := InMemory()
 	key := New("mem").Sum()

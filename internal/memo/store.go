@@ -191,6 +191,21 @@ func (s *Store) Put(h Hash, payload []byte) error {
 	return nil
 }
 
+// Delete drops the entry stored under h from memory and disk; it counts
+// nothing.
+func (s *Store) Delete(h Hash) {
+	s.mu.Lock()
+	if el, ok := s.byKey[h]; ok {
+		s.lru.Remove(el)
+		delete(s.byKey, h)
+		s.lruBytes -= len(el.Value.(*lruEntry).payload)
+	}
+	s.mu.Unlock()
+	if s.dir != "" {
+		os.Remove(s.path(h))
+	}
+}
+
 // Stats returns a snapshot of the counters.
 func (s *Store) Stats() Stats {
 	return Stats{

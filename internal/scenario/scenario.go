@@ -106,6 +106,9 @@ func (s Spec) Normalized() (Spec, error) {
 	if s.SLONS < 0 {
 		return Spec{}, fmt.Errorf("scenario: slo_ns %d must be non-negative", s.SLONS)
 	}
+	if math.IsNaN(s.Swing) || math.IsInf(s.Swing, 0) { // JSON has neither, for any kind
+		return Spec{}, fmt.Errorf("scenario: swing %v must be finite", s.Swing)
+	}
 	switch s.Kind {
 	case Diurnal:
 		if s.Swing == 0 {

@@ -4,13 +4,13 @@
 // pull-worker fleet drives (/v1/jobs/lease, /v1/jobs/result, /v1/jobs/fail,
 // /v1/jobs/status, /v1/traces/{hash}).
 //
-// The board installs itself behind harness.RunJobs as a Distributor: when a
-// sweep misses the cache, each miss becomes a board entry that either a
-// remote worker leases and completes, or the coordinator's own pool runs
-// after a claim budget (immediately, when no live workers are attached).
-// Correctness never depends on who runs a job — results are content-
-// addressed and byte-deterministic — so every scheduling decision here is
-// pure cost:
+// The board sits behind harness.RunJobs as its Distributor
+// (harness.SetDistributor(c.RunMissing)): every miss of a sweep becomes a
+// board entry that either a remote worker leases and completes, or the
+// coordinator's own pool runs after a claim budget (immediately, with no
+// live workers or after a failed lease). Correctness never depends on who
+// runs a job — results are content-addressed and byte-deterministic — so
+// every scheduling decision here is pure cost:
 //
 //   - Leases carry deadlines. A lease past its deadline is re-issued to the
 //     next worker that asks (or claimed locally), so a dead or slow worker
@@ -24,6 +24,8 @@
 //   - Entries are shared across concurrent sweeps (singleflight): N
 //     identical in-flight sweep requests publish each job once and all
 //     wait on the same completion.
+//   - A job that panics fails its sweeps, not a process: a worker returns
+//     its lease, and every waiting sweep raises the coordinator run's panic.
 //
 // A lease carries the job's config-only PIFSJOB2 wire and names an engine
 // job's trace by its content hash. The board keeps one copy of each named
@@ -114,10 +116,11 @@ type distJob struct {
 	// degrades to local execution without waiting out the budget again.
 	expired bool
 
-	refs    int
-	payload []byte // winning result payload (canonical JobResult JSON)
-	res     harness.JobResult
-	done    chan struct{}
+	refs     int
+	payload  []byte // winning result payload (canonical JobResult JSON)
+	res      harness.JobResult
+	panicked any // the local run's panic, raised by every waiting sweep
+	done     chan struct{}
 }
 
 // boardTrace is one trace the board serves at /v1/traces/{hash}: the
@@ -163,12 +166,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		workers: make(map[string]*workerInfo),
 		wake:    make(chan struct{}),
 	}
-}
-
-// Install wires the board behind harness.RunJobs and returns the previously
-// installed distributor (for restoration in tests).
-func (c *Coordinator) Install() harness.Distributor {
-	return harness.SetDistributor(c.RunMissing)
 }
 
 // DistStats is a snapshot of the board's counters.
@@ -435,19 +432,25 @@ func (c *Coordinator) completeRemote(h memo.Hash, payload []byte, res harness.Jo
 	return "stored"
 }
 
-// completeLocal records a local fallback execution, unless a remote result
-// won the race while it ran (then the local bytes are duplicate-checked
-// exactly like a late worker post).
-func (c *Coordinator) completeLocal(e *distJob, res harness.JobResult) {
-	payload, err := harness.EncodeJobResult(res)
-	if err != nil {
-		// Results are plain value structs; failing to JSON-encode one is a
-		// code bug, and the board cannot complete the entry without bytes.
-		panic(fmt.Sprintf("serve: encoding local result: %v", err))
-	}
+// completeLocal runs a claimed job and records its result (or its panic),
+// unless a remote result won the race while it ran (then the local bytes
+// are duplicate-checked exactly like a late worker post).
+func (c *Coordinator) completeLocal(e *distJob, run func() harness.JobResult) {
+	var res harness.JobResult
+	var payload []byte
+	panicked := func() (p any) {
+		defer func() { p = recover() }()
+		res = run()
+		var err error
+		if payload, err = harness.EncodeJobResult(res); err != nil {
+			// Results are plain value structs: failing to encode one is a bug.
+			panic(fmt.Sprintf("serve: encoding local result: %v", err))
+		}
+		return nil
+	}()
 	c.mu.Lock()
 	if e.state == stateDone {
-		mismatch := string(e.payload) != string(payload)
+		mismatch := panicked != nil || string(e.payload) != string(payload)
 		c.mu.Unlock()
 		c.duplicateResults.Add(1)
 		if mismatch {
@@ -459,6 +462,7 @@ func (c *Coordinator) completeLocal(e *distJob, res harness.JobResult) {
 	e.state = stateDone
 	e.payload = payload
 	e.res = res
+	e.panicked = panicked
 	c.localRuns.Add(1) // before the sweep wakes, as in completeRemote
 	close(e.done)
 	c.mu.Unlock()
@@ -479,16 +483,16 @@ func (c *Coordinator) failLease(h memo.Hash, leaseID uint64) {
 	c.wakeLocked()
 }
 
-// RunMissing is the harness.Distributor implementation: publish every
-// distributable miss on the board, pump local fallback from the caller's
-// pool, and gather results as they stream in (remote completions fill their
-// slots the moment they arrive — the sweep's table assembly starts as soon
-// as the last job lands, not on any batch boundary).
+// RunMissing is the harness.Distributor implementation: publish every miss
+// on the board, pump local fallback from the caller's pool, and gather
+// results as they stream in (remote completions fill their slots the moment
+// they arrive, so table assembly starts as the last job lands). A job that
+// fails to encode panics; a local run's panic is raised again here.
 func (c *Coordinator) RunMissing(jobs []harness.Job, hashes []memo.Hash, localWorkers int, runLocal func(k int) harness.JobResult) []harness.JobResult {
 	n := len(jobs)
 	out := make([]harness.JobResult, n)
 	entries := make([]*distJob, n)
-	var localOnly []int
+	defer c.release(entries)
 	encoded := make(map[*trace.Trace]*boardTrace)
 	for i := range jobs {
 		wire, err := harness.EncodeJob(jobs[i])
@@ -497,14 +501,10 @@ func (c *Coordinator) RunMissing(jobs []harness.Job, hashes []memo.Hash, localWo
 			tr, err = encodeTrace(encoded, jobs[i].Engine.Trace)
 		}
 		if err != nil {
-			// Not wire-encodable (custom placement policy, no trace):
-			// coordinator-local by construction.
-			localOnly = append(localOnly, i)
-			continue
+			panic(fmt.Errorf("serve: job %s: %w", hashes[i].Hex()[:12], err))
 		}
 		entries[i] = c.enqueue(hashes[i], wire, tr)
 	}
-	defer c.release(entries)
 
 	w := localWorkers
 	if w < 1 {
@@ -513,7 +513,6 @@ func (c *Coordinator) RunMissing(jobs []harness.Job, hashes []memo.Hash, localWo
 	if w > n {
 		w = n
 	}
-	var nextLocalOnly atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < w; g++ {
@@ -521,17 +520,8 @@ func (c *Coordinator) RunMissing(jobs []harness.Job, hashes []memo.Hash, localWo
 		go func() {
 			defer wg.Done()
 			for {
-				// Non-distributable jobs can only run here; drain them first.
-				if k := int(nextLocalOnly.Add(1)) - 1; k < len(localOnly) {
-					i := localOnly[k]
-					out[i] = runLocal(i)
-					continue
-				}
 				claimed, waiting := false, false
 				for i, e := range entries {
-					if e == nil {
-						continue
-					}
 					select {
 					case <-e.done:
 						continue
@@ -539,7 +529,7 @@ func (c *Coordinator) RunMissing(jobs []harness.Job, hashes []memo.Hash, localWo
 					}
 					waiting = true
 					if c.tryClaimLocal(e) {
-						c.completeLocal(e, runLocal(i))
+						c.completeLocal(e, func() harness.JobResult { return runLocal(i) })
 						claimed = true
 						break
 					}
@@ -563,15 +553,19 @@ func (c *Coordinator) RunMissing(jobs []harness.Job, hashes []memo.Hash, localWo
 		}()
 	}
 
+	var panicked any
 	for i, e := range entries {
-		if e == nil {
-			continue // filled by the local pump
-		}
 		<-e.done
 		out[i] = e.res
+		if panicked == nil {
+			panicked = e.panicked
+		}
 	}
 	close(stop)
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 	return out
 }
 

@@ -49,7 +49,7 @@ func distServerWrapped(t *testing.T, cfg CoordinatorConfig, wrap func(http.Handl
 	t.Helper()
 	c := NewCoordinator(cfg)
 	prevStore := harness.SetStore(memo.InMemory())
-	prevDist := c.Install()
+	prevDist := harness.SetDistributor(c.RunMissing)
 	srv := httptest.NewServer(wrap(Handler(Options{Coordinator: c})))
 	t.Cleanup(func() {
 		srv.Close()
@@ -386,8 +386,11 @@ func TestWarmWorkerCacheSkipsSimulation(t *testing.T) {
 // byte for byte, and each job count as a remote cache hit. Before the last
 // run, one job's entry becomes a payload that does not decode. The worker
 // posts it in a valid frame, and the coordinator must refuse it as 1
-// corrupt result, take the lease back and run the job itself. Every table
-// must match a local run.
+// corrupt result, take the lease back and run the job itself. The refusal
+// makes the worker drop that entry, so a second poisoned run counts no
+// corrupt result, failed lease or local run: the worker's store misses the
+// job once, and the worker simulates and stores it again. Every table must
+// match a local run.
 func TestWorkerPostsStoredBytes(t *testing.T) {
 	want := referenceTable(t, "fig12a")
 	jobs := harness.Jobs("fig12a")
@@ -523,8 +526,62 @@ func TestWorkerPostsStoredBytes(t *testing.T) {
 	if fs := frames[poisoned.Hex()]; len(fs) != 1 || !bytes.Equal(fs[0], memo.EncodeFrame(poisoned, []byte("not a result"))) {
 		t.Errorf("poisoned: %d result posts for the poisoned job, want 1 carrying its entry", len(fs))
 	}
+
+	ws, b, _ = sweep("after refusal")
+	if ws != (memo.Stats{Hits: n - 1, Misses: 1, PutEntries: 1}) {
+		t.Errorf("after refusal: worker store counted %+v, want %d hits, 1 miss and 1 put", ws, n-1)
+	}
+	if b.CorruptResults != 0 || b.FailedLeases != 0 || b.LocalRuns != 0 || b.RemoteCompleted != n {
+		t.Errorf("after refusal: corrupt=%d failed_leases=%d local=%d remote=%d, want 0/0/0/%d",
+			b.CorruptResults, b.FailedLeases, b.LocalRuns, b.RemoteCompleted, n)
+	}
 	if st := c.Stats(); st.DuplicateMismatches != 0 {
 		t.Errorf("%d duplicate mismatches", st.DuplicateMismatches)
+	}
+}
+
+// TestPoisonJobPanicsOnCaller sends a job that hashes and encodes but
+// panics when it runs (a numasim placement no model knows) through a
+// coordinator with one worker. The worker returns the lease and keeps
+// polling; the coordinator runs the job itself, and RunJobs raises the
+// numasim error again on its caller. The job then leaves the board, and a
+// following fig12a completes every job remotely with a byte-identical
+// table.
+func TestPoisonJobPanicsOnCaller(t *testing.T) {
+	want := referenceTable(t, "fig12a")
+	srv, c := distServer(t, CoordinatorConfig{LeaseTTL: 10 * time.Second, ClaimBudget: 10 * time.Second})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := startWorker(ctx, srv.URL, "w0", memo.InMemory())
+	defer func() { cancel(); <-done }()
+	waitLive(t, srv, 1)
+
+	moon := *harness.Jobs("fig5")[0].Numa
+	moon.Placement = "moon"
+	raised := func() (p any) {
+		defer func() { p = recover() }()
+		harness.DefaultRunner().RunJobs([]harness.Job{{Numa: &moon}})
+		return nil
+	}()
+	if err, ok := raised.(error); !ok || !strings.Contains(err.Error(), `numasim: unknown placement "moon"`) {
+		t.Fatalf("RunJobs raised %v, want the numasim error", raised)
+	}
+	select {
+	case <-done:
+		t.Fatal("the worker loop exited")
+	default:
+	}
+	st := c.Stats()
+	if st.Inflight != 0 || st.FailedLeases < 1 {
+		t.Errorf("inflight=%d failed_leases=%d, want 0 and at least 1", st.Inflight, st.FailedLeases)
+	}
+
+	if got := getTable(t, srv, "fig12a"); !bytes.Equal(got, want) {
+		t.Error("fig12a after the poison job differs from a local run")
+	}
+	after := c.Stats()
+	if remote := after.RemoteCompleted - st.RemoteCompleted; remote != int64(len(harness.Jobs("fig12a"))) || after.LocalRuns != st.LocalRuns {
+		t.Errorf("fig12a: %d jobs remote and %d local, want all %d remote",
+			remote, after.LocalRuns-st.LocalRuns, len(harness.Jobs("fig12a")))
 	}
 }
 
@@ -580,6 +637,50 @@ func TestSingleflightSharedEntries(t *testing.T) {
 	}
 	if st := c.Stats(); st.Inflight != 0 {
 		t.Errorf("%d entries left on the board after both sweeps released", st.Inflight)
+	}
+}
+
+// TestSharedPanicRaisedInEverySweep: two concurrent sweeps share one entry
+// whose local run panics. Each raises the panic on its own goroutine, and
+// the entry leaves the board.
+func TestSharedPanicRaisedInEverySweep(t *testing.T) {
+	c := NewCoordinator(CoordinatorConfig{ClaimBudget: time.Millisecond})
+	jobs := harness.Jobs("ablation-migration")[:1]
+	h, err := jobs[0].Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	runLocal := func(int) harness.JobResult {
+		<-gate
+		panic("poisoned run")
+	}
+	raised := make([]any, 2)
+	var wg sync.WaitGroup
+	for s := range raised {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { raised[s] = recover() }()
+			c.RunMissing(jobs, []memo.Hash{h}, 1, runLocal)
+		}()
+	}
+	// Hold the run until the second sweep has shared the entry.
+	for deadline := time.Now().Add(5 * time.Second); c.Stats().SharedJobs < 1; {
+		if !time.Now().Before(deadline) {
+			t.Fatal("second sweep never shared the first sweep's entry")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	wg.Wait()
+	for s, p := range raised {
+		if p != "poisoned run" {
+			t.Errorf("sweep %d raised %v, want the run's panic", s, p)
+		}
+	}
+	if st := c.Stats(); st.Inflight != 0 || st.LocalRuns != 1 {
+		t.Errorf("inflight=%d local_runs=%d, want 0 and 1", st.Inflight, st.LocalRuns)
 	}
 }
 

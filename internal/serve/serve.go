@@ -164,8 +164,9 @@ func (cs ConfigSpec) config() (engine.Config, error) {
 // Options configures the sweep-service handler.
 type Options struct {
 	// Coordinator enables the distributed job endpoints (/v1/jobs/*) and
-	// the per-request X-Jobs-* headers. Nil answers those endpoints 503;
-	// sweeps then always run on the local pool.
+	// the per-request X-Jobs-* headers; sweeps use its board once the caller
+	// calls harness.SetDistributor(c.RunMissing). Nil answers those
+	// endpoints 503; sweeps then always run on the local pool.
 	Coordinator *Coordinator
 	// Log receives one line per request (method, path, status, duration,
 	// cache and job-board deltas); nil disables request logging.

@@ -51,7 +51,10 @@ type WorkerConfig struct {
 	// in-memory store. A disk-backed store (memo.Open) makes warm
 	// distributed sweeps re-simulate nothing across worker restarts.
 	Store *memo.Store
-	// Runner executes leased jobs; nil uses a GOMAXPROCS-wide pool.
+	// Runner answers leased jobs (Runner.RunJobPayload); nil uses
+	// harness.NewRunner(0). The pool width is unused: a worker runs one
+	// lease at a time on its loop goroutine, and RunJobPayload never reads
+	// its receiver.
 	Runner *harness.Runner
 	// LeaseMax is how many jobs to lease per poll (default 4; the
 	// coordinator caps at 16).
@@ -240,8 +243,15 @@ func (w *worker) requestLeases(ctx context.Context) ([]leaseWire, error) {
 }
 
 // runLease executes one leased job and posts the result (or returns the
-// lease on any local failure).
+// lease on any local failure). A job that panics returns its lease too, and
+// the worker keeps polling.
 func (w *worker) runLease(ctx context.Context, l leaseWire) {
+	defer func() {
+		if p := recover(); p != nil {
+			w.logf("worker %s: lease %d (%.12s): job panicked: %v; returning", w.cfg.ID, l.Lease, l.Hash, p)
+			w.postFail(ctx, l)
+		}
+	}()
 	start := time.Now()
 	job, want, err := w.resolve(ctx, l)
 	if err != nil {
@@ -256,10 +266,13 @@ func (w *worker) runLease(ctx context.Context, l leaseWire) {
 		w.postFail(ctx, l)
 		return
 	}
-	status, err := w.postResult(ctx, l, memo.EncodeFrame(want, payload), cached)
+	status, code, err := w.postResult(ctx, l, memo.EncodeFrame(want, payload), cached)
 	how := "simulated"
 	if cached {
 		how = "cache hit"
+		if code == http.StatusBadRequest { // refused: the stored bytes do not decode
+			w.cfg.Store.Delete(want) // so the next lease of this job simulates it
+		}
 	}
 	if err != nil {
 		w.logf("worker %s: job %s %s in %v, but result post failed: %v", w.cfg.ID, l.Hash[:12], how, time.Since(start).Round(time.Millisecond), err)
@@ -370,7 +383,7 @@ func (w *worker) leaseQuery(l leaseWire) url.Values {
 	}
 }
 
-func (w *worker) postResult(ctx context.Context, l leaseWire, frame []byte, cached bool) (string, error) {
+func (w *worker) postResult(ctx context.Context, l leaseWire, frame []byte, cached bool) (status string, code int, err error) {
 	q := w.leaseQuery(l)
 	q.Set("cached", "0")
 	if cached {
@@ -378,12 +391,12 @@ func (w *worker) postResult(ctx context.Context, l leaseWire, frame []byte, cach
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+"/v1/jobs/result?"+q.Encode(), bytes.NewReader(frame))
 	if err != nil {
-		return "", err
+		return "", 0, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := w.client.Do(req)
 	if err != nil {
-		return "", err
+		return "", 0, err
 	}
 	defer resp.Body.Close()
 	var out struct {
@@ -393,9 +406,9 @@ func (w *worker) postResult(ctx context.Context, l leaseWire, frame []byte, cach
 		out.Status = resp.Status
 	}
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusGone {
-		return "", fmt.Errorf("result post: status %d (%s)", resp.StatusCode, out.Status)
+		return "", resp.StatusCode, fmt.Errorf("result post: status %d (%s)", resp.StatusCode, out.Status)
 	}
-	return out.Status, nil
+	return out.Status, resp.StatusCode, nil
 }
 
 func (w *worker) postFail(ctx context.Context, l leaseWire) {

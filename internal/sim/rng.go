@@ -73,21 +73,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Fork derives an independent generator from this one. Streams from the
-// parent and child do not overlap in practice because SplitMix64 seeds are
-// decorrelated by the output hash.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64())
-}
-
 // Zipf draws from a Zipfian distribution over [0, n) with exponent s using
 // inverse-CDF sampling over a precomputed table. Build once with NewZipf.
 type Zipf struct {

@@ -161,18 +161,3 @@ func TestZipfDrawInRange(t *testing.T) {
 		}
 	}
 }
-
-func TestRNGForkIndependence(t *testing.T) {
-	parent := NewRNG(42)
-	child := parent.Fork()
-	// Child stream should not equal the parent's subsequent stream.
-	same := 0
-	for i := 0; i < 64; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("forked stream overlaps parent in %d/64 draws", same)
-	}
-}

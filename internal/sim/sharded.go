@@ -30,8 +30,8 @@
 // Because a group's event stream is confined to its own engine and the
 // delivery order never mentions placement, the token-event sequence each
 // component observes is identical whether its peers share its worker or run
-// three workers away. That is what lets callers pick any worker count AND any
-// placement policy and get byte-identical results.
+// three workers away. That is why results are byte-identical at every
+// worker count, and under every placement policy the tests force.
 //
 // All mailbox structures are pooled: outboxes are rings reset at each
 // barrier, envelope slots and their address buffers recycle through
@@ -224,8 +224,8 @@ func (se *ShardedEngine) Outbox(g int) *Outbox {
 func (se *ShardedEngine) SetBarrier(fn func(at Tick)) { se.barrier = fn }
 
 // SetPlacement installs the placement policy, evaluated once, at the first
-// Run, over the static group weights. nil selects PlaceGroups. Placement is
-// pure scheduling — results are byte-identical under every policy.
+// Run, over the static group weights. nil selects PlaceGroups; only tests
+// set another, to prove results byte-identical under every policy.
 func (se *ShardedEngine) SetPlacement(p PlacementPolicy) { se.policy = p }
 
 // SetBarrierIdle declares when the SetBarrier hook would be a no-op: fn

@@ -1,6 +1,9 @@
 package pifsrec
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func smallModel() ModelConfig {
 	m := RMC1().Scaled(64)
@@ -26,8 +29,9 @@ func TestSimulateRoundTrip(t *testing.T) {
 }
 
 // TestSimulateRejectsBadInput builds traces bag by bag, as a library
-// caller would, and checks that Simulate reports each malformed one as an
-// error instead of panicking or simulating it.
+// caller would, and checks that Simulate reports each malformed one, and
+// each config with an unknown scheme or a non-finite float, as an error
+// instead of panicking or simulating it.
 func TestSimulateRejectsBadInput(t *testing.T) {
 	m := smallModel()
 	// Control: a well-formed hand-built trace, with the edge rows and
@@ -39,16 +43,30 @@ func TestSimulateRejectsBadInput(t *testing.T) {
 		t.Fatalf("well-formed trace: %d bags, err %v", r.Bags, err)
 	}
 
+	ok := Bag{Table: 0, Indices: []uint32{1}}
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
-		name   string
-		scheme Scheme
-		bag    Bag
+		name string
+		bag  Bag
+		edit func(*Config)
 	}{
-		{"row past table", PIFSRec, Bag{Table: 0, Indices: []uint32{uint32(m.EmbRows)}}},
-		{"table past model", PIFSRec, Bag{Table: int32(m.Tables), Indices: []uint32{1}}},
-		{"negative table", PIFSRec, Bag{Table: -1, Indices: []uint32{1}}},
-		{"one weight for two indices", PIFSRec, Bag{Table: 0, Indices: []uint32{1, 2}, Weights: []float32{0.5}}},
-		{"unknown scheme", Scheme("warp-drive"), Bag{Table: 0, Indices: []uint32{1}}},
+		{"row past table", Bag{Table: 0, Indices: []uint32{uint32(m.EmbRows)}}, nil},
+		{"table past model", Bag{Table: int32(m.Tables), Indices: []uint32{1}}, nil},
+		{"negative table", Bag{Table: -1, Indices: []uint32{1}}, nil},
+		{"one weight for two indices", Bag{Table: 0, Indices: []uint32{1, 2}, Weights: []float32{0.5}}, nil},
+		{"unknown scheme", ok, func(c *Config) { c.Scheme = "warp-drive" }},
+		// JSON has no NaN or infinity, and no config float means anything
+		// there.
+		{"NaN LocalFraction", ok, func(c *Config) { c.LocalFraction = nan }},
+		{"infinite LocalFraction", ok, func(c *Config) { c.LocalFraction = inf }},
+		{"NaN ColdAgeThreshold", ok, func(c *Config) { c.ColdAgeThreshold = nan }},
+		{"infinite MigrateThreshold", ok, func(c *Config) { c.MigrateThreshold = -inf }},
+		{"NaN poisson swing", ok, func(c *Config) {
+			c.Scenario = &ScenarioSpec{Kind: ScenarioPoisson, QPS: 1e6, Swing: nan}
+		}},
+		{"infinite diurnal swing", ok, func(c *Config) {
+			c.Scenario = &ScenarioSpec{Kind: ScenarioDiurnal, QPS: 1e6, Swing: inf}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -58,7 +76,11 @@ func TestSimulateRejectsBadInput(t *testing.T) {
 				}
 			}()
 			tr := &Trace{Tables: m.Tables, RowsPerTable: m.EmbRows, Bags: []Bag{tc.bag}}
-			if _, err := Simulate(Config{Scheme: tc.scheme, Model: m, Trace: tr, Seed: 1}); err == nil {
+			cfg := Config{Scheme: PIFSRec, Model: m, Trace: tr, Seed: 1}
+			if tc.edit != nil {
+				tc.edit(&cfg)
+			}
+			if _, err := Simulate(cfg); err == nil {
 				t.Fatal("Simulate accepted the input")
 			}
 		})
