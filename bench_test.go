@@ -329,28 +329,46 @@ func BenchmarkDRAMRandom(b *testing.B) {
 
 // BenchmarkDRAMRequestPath measures the steady-state batched request path:
 // one SubmitBatch per iteration (an SLS bag's worth of scattered row
-// vectors) driven to completion. Allocs/op must be 0 once the arenas are
-// warm — requests, batch slots, queue rings, and engine events all recycle.
+// vectors) driven to completion. Besides a two-channel Table II device
+// under sustained pressure, it runs the engine's shapes with 4096 B
+// interleave and vector-aligned rows, as the engine lays them out: the
+// host's 12-channel DDR5 (engine.localGeometry) and one 4-channel DDR4
+// device (engine.deviceGeometry). Allocs/op must be 0 once the queues are
+// warm — runs, batch slots, queue rings, and engine events all recycle.
 func BenchmarkDRAMRequestPath(b *testing.B) {
-	geo := Table2Geometry2ch()
-	eng := sim.NewEngine()
-	c := dram.NewController(eng, geo, dram.DDR5_4800())
-	rng := sim.NewRNG(5)
 	const rows = 32
 	const vecBytes = 512
-	addrs := make([]uint64, rows)
-	for i := range addrs {
-		addrs[i] = (rng.Uint64() % uint64(geo.Capacity()-vecBytes)) &^ 63
-	}
-	done := func(int32, sim.Tick) {}
-	c.SubmitBatch(addrs, vecBytes, false, 0, done, 0) // warm the arenas
-	eng.Run()
-	b.ReportAllocs()
-	b.SetBytes(rows * vecBytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.SubmitBatch(addrs, vecBytes, false, 0, done, 0)
-		eng.Run()
+	for _, tc := range []struct {
+		name  string
+		geo   dram.Geometry
+		tim   dram.Timing
+		align uint64
+	}{
+		{"table2-2ch", Table2Geometry2ch(), dram.DDR5_4800(), 64},
+		{"host-12ch", dram.Geometry{Channels: 12, Ranks: 2, BankGroups: 4, Banks: 4,
+			Rows: 1 << 12, RowBytes: 8192, InterleaveBytes: 4096}, dram.DDR5_4800(), vecBytes},
+		{"device-4ch", dram.Geometry{Channels: 4, Ranks: 2, BankGroups: 4, Banks: 4,
+			Rows: 1 << 11, RowBytes: 8192, InterleaveBytes: 4096}, dram.DDR4_3200(), vecBytes},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			eng := sim.NewEngine()
+			c := dram.NewController(eng, tc.geo, tc.tim)
+			rng := sim.NewRNG(5)
+			addrs := make([]uint64, rows)
+			for i := range addrs {
+				addrs[i] = (rng.Uint64() % uint64(tc.geo.Capacity()-vecBytes)) &^ (tc.align - 1)
+			}
+			done := func(int32, sim.Tick) {}
+			c.SubmitBatch(addrs, vecBytes, false, 0, done, 0) // warm the queues
+			eng.Run()
+			b.ReportAllocs()
+			b.SetBytes(rows * vecBytes)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.SubmitBatch(addrs, vecBytes, false, 0, done, 0)
+				eng.Run()
+			}
+		})
 	}
 }
 

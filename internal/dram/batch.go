@@ -94,10 +94,7 @@ func checkBatchArgs(bytes int, extra sim.Tick, fnc func(int32, sim.Tick)) {
 func (c *Controller) SubmitRange(addr uint64, bytes int, isWrite bool, extraNS sim.Tick, fnc func(int32, sim.Tick), arg int32) {
 	checkBatchArgs(bytes, extraNS, fnc)
 	lines := bytes / accessBytes
-	batch := c.allocBatch(lines, extraNS, fnc, arg)
-	for l := 0; l < lines; l++ {
-		c.enqueueLine(addr+uint64(l*accessBytes), isWrite, batch)
-	}
+	c.enqueue(addr, lines, isWrite, c.allocBatch(lines, extraNS, fnc, arg))
 }
 
 // SubmitBatch queues vecBytes/64 line requests at each base address as one
@@ -113,8 +110,6 @@ func (c *Controller) SubmitBatch(addrs []uint64, vecBytes int, isWrite bool, ext
 	lines := vecBytes / accessBytes
 	batch := c.allocBatch(len(addrs)*lines, extraNS, fnc, arg)
 	for _, addr := range addrs {
-		for l := 0; l < lines; l++ {
-			c.enqueueLine(addr+uint64(l*accessBytes), isWrite, batch)
-		}
+		c.enqueue(addr, lines, isWrite, batch)
 	}
 }

@@ -119,9 +119,9 @@ func TestBatchExtraLatency(t *testing.T) {
 }
 
 // TestArenaReuseNoLeak drives many waves of batched traffic through one
-// controller and checks that the request arena and batch slots recycle
-// instead of growing: capacity is bounded by the largest in-flight wave, and
-// nothing stays in flight after a drain.
+// controller and checks that the queue rings and batch slots recycle instead
+// of growing: the first wave sets the rings' capacity, which never exceeds
+// one wave's lines, and nothing stays queued or in flight after a drain.
 func TestArenaReuseNoLeak(t *testing.T) {
 	geo := Table2Geometry()
 	eng := sim.NewEngine()
@@ -130,6 +130,7 @@ func TestArenaReuseNoLeak(t *testing.T) {
 	const vecBytes = 512
 	addrs := make([]uint64, rows)
 	done := func(int32, sim.Tick) {}
+	ringCap := 0
 	for wave := 0; wave < 50; wave++ {
 		for i := range addrs {
 			addrs[i] = uint64((wave*rows+i)*vecBytes) % (uint64(geo.Capacity()) &^ 63)
@@ -140,19 +141,36 @@ func TestArenaReuseNoLeak(t *testing.T) {
 		if got := c.InFlightBatches(); got != 0 {
 			t.Fatalf("wave %d: %d batches still in flight after drain", wave, got)
 		}
-		if got := c.QueuedRequests(); got != 0 {
-			t.Fatalf("wave %d: %d requests still queued after drain", wave, got)
+		lines, capacity := queueState(c)
+		if lines != 0 {
+			t.Fatalf("wave %d: %d lines still queued after drain", wave, lines)
+		}
+		if wave == 0 {
+			ringCap = capacity
+		} else if capacity != ringCap {
+			t.Fatalf("wave %d: queue rings grew from %d to %d runs", wave, ringCap, capacity)
 		}
 	}
-	maxLines := (rows + 1) * vecBytes / 64
-	if got := c.ArenaSize(); got > maxLines {
-		t.Fatalf("request arena grew to %d slots; one wave is only %d lines", got, maxLines)
+	if maxLines := (rows + 1) * vecBytes / 64; ringCap > maxLines {
+		t.Fatalf("queue rings hold %d runs; one wave is only %d lines", ringCap, maxLines)
 	}
 	// All 50 waves' worth of lines went through those few slots.
 	wantReqs := int64(50 * (rows + 1) * vecBytes / 64)
 	if st := c.Stats(); st.Reads+st.Writes != wantReqs {
 		t.Fatalf("issued %d requests, want %d", st.Reads+st.Writes, wantReqs)
 	}
+}
+
+// queueState returns the lines waiting in c's channel queues and the runs
+// its rings can hold.
+func queueState(c *Controller) (lines, capacity int) {
+	for _, ch := range c.chans {
+		for i := 0; i < ch.q.n; i++ {
+			lines += int(ch.q.at(i).n)
+		}
+		capacity += len(ch.q.reqs)
+	}
+	return lines, capacity
 }
 
 // TestReqRingMatchesReference drives the circular queue through random
@@ -164,17 +182,17 @@ func TestReqRingMatchesReference(t *testing.T) {
 	next := int32(0)
 	for step := 0; step < 20000; step++ {
 		if len(ref) == 0 || r.Intn(3) != 0 {
-			q.push(next)
+			q.push(request{batch: next})
 			ref = append(ref, next)
 			next++
 		} else {
-			// Remove within the FR-FCFS window, like pick() does.
+			// Remove within the FR-FCFS window, like service() does.
 			limit := len(ref)
 			if limit > frWindow {
 				limit = frWindow
 			}
 			i := r.Intn(limit)
-			if got := q.at(i); got != ref[i] {
+			if got := q.at(i).batch; got != ref[i] {
 				t.Fatalf("step %d: at(%d) = %d, want %d", step, i, got, ref[i])
 			}
 			q.removeAt(i)
@@ -185,7 +203,7 @@ func TestReqRingMatchesReference(t *testing.T) {
 		}
 	}
 	for i := range ref {
-		if q.at(i) != ref[i] {
+		if q.at(i).batch != ref[i] {
 			t.Fatalf("final order diverged at %d", i)
 		}
 	}

@@ -6,16 +6,19 @@ import (
 	"pifsrec/internal/sim"
 )
 
-// request is one arena-resident line access. Requests are value-typed and
-// referenced by index: the per-channel queues hold ids, and slots recycle
-// through a free list the moment the line's column command issues, so the
-// submit→complete path performs no heap allocation in steady state. A
-// request carries only what the scheduler reads, decoded once at submit, in
-// 24 bytes; Validate bounds the geometry fields the narrow types hold.
+// request is one queued run: n consecutive 64 B lines of one batch that
+// share a channel, bank and row, decoded once at submit. The channel's ring
+// holds runs by value, and the scheduler treats a run's lines as one
+// FR-FCFS candidate that issues one line at a time: they are
+// indistinguishable to it, so the first line of a run is the one a
+// per-line scan would pick. A request carries only what the scheduler
+// reads, in 24 bytes; Validate bounds the geometry fields the narrow types
+// hold.
 type request struct {
 	submit sim.Tick
 	batch  int32
 	row    int32
+	n      int32  // lines left in the run
 	bank   uint16 // flattened rank/group/bank index into channel.banks
 	rank   uint8
 	write  bool
@@ -45,7 +48,7 @@ func (s Stats) MeanQueueDelayNS() float64 {
 }
 
 // Controller models one memory node: a set of channels, each with its own
-// bank array, FR-FCFS scheduler, request arena, and statistics. Every
+// bank array, FR-FCFS scheduler, run queue, and statistics. Every
 // channel runs on the controller's engine, and the component that owns the
 // controller folds its CostWeight into its own, so a node's placement weight
 // tracks its channel count. It is not safe for concurrent use; all
@@ -111,33 +114,19 @@ func (c *Controller) CostWeight() float64 {
 	return w
 }
 
-// ArenaSize returns the total request arena capacity across channels (for
-// reuse/leak tests).
-func (c *Controller) ArenaSize() int {
-	n := 0
-	for _, ch := range c.chans {
-		n += len(ch.reqs)
+// enqueue queues lines 64 B lines of batch starting at addr. The lines that
+// begin in one interleave chunk share a channel, bank and row (Validate
+// makes InterleaveBytes divide RowBytes), so each chunk is decoded once and
+// queued as one run.
+func (c *Controller) enqueue(addr uint64, lines int, write bool, batch int32) {
+	now := c.eng.Now()
+	for lines > 0 {
+		idx, bank, rank, row := c.dec.decode(addr)
+		n := min(c.dec.chunkLines(addr), lines)
+		c.chans[idx].enqueue(request{submit: now, batch: batch, row: row, n: int32(n), bank: bank, rank: rank, write: write})
+		addr += uint64(n) * accessBytes
+		lines -= n
 	}
-	return n
-}
-
-// QueuedRequests returns the number of lines waiting in channel queues.
-func (c *Controller) QueuedRequests() int {
-	n := 0
-	for _, ch := range c.chans {
-		n += ch.q.n
-	}
-	return n
-}
-
-// enqueueLine decodes one line request of a batch and places it into its
-// channel's queue. Allocation is channel-local: each channel owns its arena.
-func (c *Controller) enqueueLine(addr uint64, write bool, batch int32) {
-	idx, bank, rank, row := c.dec.decode(addr)
-	ch := c.chans[idx]
-	id := ch.allocReq()
-	ch.reqs[id] = request{submit: c.eng.Now(), batch: batch, row: row, bank: bank, rank: rank, write: write}
-	ch.enqueue(id)
 }
 
 // SetChannelOffline parks channel idx until the given time (fault
@@ -179,10 +168,10 @@ type bank struct {
 	actReadyAt sim.Tick
 }
 
-// channel is one self-contained bank loop: its own request arena, queue,
-// scheduler state, and statistics. The only controller-level state it
-// touches is the shared batch table (a batch's lines may span channels), so
-// a channel always runs in its controller's placement group.
+// channel is one self-contained bank loop: its own run queue, scheduler
+// state, and statistics. The only controller-level state it touches is the
+// shared batch table (a batch's lines may span channels), so a channel
+// always runs in its controller's placement group.
 type channel struct {
 	ctl     *Controller
 	banks   []bank
@@ -198,9 +187,9 @@ type channel struct {
 	// it keeps the kick path allocation-free.
 	serviceThunk func()
 
-	// Pooled channel-local request arena with free-list recycling.
-	reqs     []request
-	freeReqs []int32
+	// refEnd is the end of the tREFI period refreshAdjust last placed a time
+	// in (0 before the first).
+	refEnd sim.Tick
 
 	stats Stats
 
@@ -231,20 +220,18 @@ func newChannel(c *Controller) *channel {
 	return ch
 }
 
-// allocReq returns a recycled (or freshly grown) arena slot of this channel.
-func (ch *channel) allocReq() int32 {
-	if n := len(ch.freeReqs); n > 0 {
-		id := ch.freeReqs[n-1]
-		ch.freeReqs = ch.freeReqs[:n-1]
-		return id
+// enqueue appends run r, extending the tail run instead when it holds lines
+// of the same batch, bank and row. A queued run means the service loop is
+// already kicked.
+func (ch *channel) enqueue(r request) {
+	if q := &ch.q; q.n > 0 {
+		if t := q.at(q.n - 1); t.batch == r.batch && t.bank == r.bank && t.row == r.row {
+			t.n += r.n
+			return
+		}
 	}
-	ch.reqs = append(ch.reqs, request{})
-	return int32(len(ch.reqs) - 1)
-}
-
-func (ch *channel) enqueue(id int32) {
-	ch.q.push(id)
-	ch.kick(ch.ctl.eng.Now())
+	ch.q.push(r)
+	ch.kick(r.submit)
 }
 
 func (ch *channel) kick(at sim.Tick) {
@@ -259,14 +246,17 @@ func (ch *channel) kick(at sim.Tick) {
 // modelled as the channel being unavailable for tRFC at the *end* of each
 // tREFI interval — an analytic stand-in for staggered per-rank refresh that
 // costs the same bandwidth fraction (tRFC/tREFI) while keeping time zero
-// serviceable.
+// serviceable. It divides only when t leaves the period it last adjusted a
+// time in.
 func (ch *channel) refreshAdjust(t sim.Tick) sim.Tick {
 	if ch.refi == 0 {
 		return t
 	}
-	pos := t % ch.refi
-	if pos >= ch.refi-ch.rfc {
-		return t + (ch.refi - pos)
+	if t >= ch.refEnd || t < ch.refEnd-ch.refi {
+		ch.refEnd = t - t%ch.refi + ch.refi
+	}
+	if t >= ch.refEnd-ch.rfc {
+		return ch.refEnd
 	}
 	return t
 }
@@ -274,8 +264,9 @@ func (ch *channel) refreshAdjust(t sim.Tick) sim.Tick {
 // service issues column commands until the data bus runs far enough ahead,
 // then reschedules itself. Issuing back-to-back (rather than one command
 // per bus slot) lets activations on one bank overlap transfers from others,
-// which is where bank-level parallelism comes from. Each issued line's arena
-// slot is recycled immediately; completion is accounted on the line's batch.
+// which is where bank-level parallelism comes from. Each pass issues one
+// line of the picked run, which leaves the queue with its last line;
+// completion is accounted on the line's batch.
 func (ch *channel) service() {
 	now := ch.ctl.eng.Now()
 	if ch.offlineUntil > now {
@@ -291,9 +282,7 @@ func (ch *channel) service() {
 		}
 
 		pick := ch.pick(now)
-		id := ch.q.at(pick)
-		ch.q.removeAt(pick)
-		rq := &ch.reqs[id]
+		rq := ch.q.at(pick)
 
 		cmdAt, doneAt := ch.issue(rq, now)
 		st := &ch.stats
@@ -305,7 +294,9 @@ func (ch *channel) service() {
 			st.Reads++
 		}
 		batch := rq.batch
-		ch.freeReqs = append(ch.freeReqs, id)
+		if rq.n--; rq.n == 0 {
+			ch.q.removeAt(pick)
+		}
 		ch.ctl.lineIssued(batch, doneAt)
 	}
 }
@@ -314,35 +305,29 @@ func (ch *channel) service() {
 // the head of the queue has waited this long it is served unconditionally.
 const starveNS = 200
 
-// pick selects the next request: the first row hit within the FR-FCFS
-// window, otherwise the request whose bank is ready earliest (FIFO on ties).
-// The head of the queue is served unconditionally once it has aged past
-// starveNS, so row-hit streams cannot starve other banks.
+// pick selects the next run: the first row hit within the FR-FCFS window of
+// frWindow lines, otherwise the run whose bank is ready earliest (FIFO on
+// ties). The head of the queue is served unconditionally once it has aged
+// past starveNS, so row-hit streams cannot starve other banks. A run is in
+// the window when its first line is, and its other lines would score the
+// same.
 func (ch *channel) pick(now sim.Tick) int {
-	reqs := ch.reqs
-	if now-reqs[ch.q.at(0)].submit > starveNS {
+	head := ch.q.at(0)
+	b := &ch.banks[head.bank]
+	if now-head.submit > starveNS || b.openRow == int(head.row) {
 		return 0
 	}
-	limit := ch.q.n
-	if limit > frWindow {
-		limit = frWindow
-	}
-	best := 0
-	bestReady := sim.MaxTick
-	for i := 0; i < limit; i++ {
-		rq := &reqs[ch.q.at(i)]
+	best, bestReady := 0, max64(b.actReadyAt, now)
+	for i, lines := 1, int(head.n); i < ch.q.n && lines < frWindow; i++ {
+		rq := ch.q.at(i)
 		b := &ch.banks[rq.bank]
 		if b.openRow == int(rq.row) {
 			return i // row hit: take the oldest hit immediately
 		}
-		ready := b.actReadyAt
-		if ready < now {
-			ready = now
+		if ready := max64(b.actReadyAt, now); ready < bestReady {
+			best, bestReady = i, ready
 		}
-		if ready < bestReady {
-			bestReady = ready
-			best = i
-		}
+		lines += int(rq.n)
 	}
 	return best
 }

@@ -293,11 +293,11 @@ func TestFairnessNoStarvation(t *testing.T) {
 	}
 }
 
-// TestRequestPathSteadyStateZeroAlloc pins the line path's pooled arenas:
-// once a controller has drained one bag of scattered row vectors, another
-// SubmitBatch of it run to completion allocates nothing. It runs on the
-// host's 12-channel geometry, so the decoder's channel divide is on the
-// path.
+// TestRequestPathSteadyStateZeroAlloc pins the request path's reused queue
+// rings and batch slots: once a controller has drained one bag of scattered
+// row vectors, another SubmitBatch of it run to completion allocates
+// nothing. It runs on the host's 12-channel geometry, so the decoder's
+// channel divide is on the path.
 func TestRequestPathSteadyStateZeroAlloc(t *testing.T) {
 	geo := hostGeometry()
 	eng, c := testController(geo, DDR5_4800())
@@ -324,9 +324,9 @@ func TestRequestPathSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRequestFitsIn24Bytes pins a queued line's footprint: every line of
-// every figure passes through a channel arena of requests, so a field that
-// grows the struct past 24 bytes fails here by name.
+// TestRequestFitsIn24Bytes pins a queued run's footprint: every line of
+// every figure passes through a channel ring of runs held by value, so a
+// field that grows the struct past 24 bytes fails here by name.
 func TestRequestFitsIn24Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(request{}); n > 24 {
 		t.Fatalf("request is %d bytes, want at most 24", n)

@@ -171,6 +171,12 @@ func (d *lineDecoder) decode(addr uint64) (ch int, bank uint16, rank uint8, row 
 	return ch, uint16(b), uint8(b >> d.rankShift), int32((local >> d.rowShift) & d.rowMask)
 }
 
+// chunkLines returns how many lines 64 B apart, from addr on, begin in
+// addr's interleave chunk; all of them decode alike.
+func (d *lineDecoder) chunkLines(addr uint64) int {
+	return int((d.ilMask-addr&d.ilMask)/accessBytes) + 1
+}
+
 // Map decodes a physical byte address into a device location using a
 // channel-interleaved RoRaBgBaCoCh layout: consecutive InterleaveBytes
 // chunks round-robin across channels; within a channel, addresses walk

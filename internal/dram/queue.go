@@ -1,52 +1,51 @@
 package dram
 
-// reqRing is a per-channel circular queue of arena request ids. The FR-FCFS
-// scheduler only ever removes within its bounded lookahead (frWindow) or at
-// the head, so removeAt shifts at most frWindow-1 entries — constant work,
-// replacing the O(n) tail copy of the old slice-based queue. Capacity grows
-// geometrically and is then reused forever: steady-state operation performs
-// no allocation.
+// reqRing is a per-channel circular queue of runs, held by value. The
+// FR-FCFS scheduler only ever removes within its bounded lookahead (frWindow
+// lines, so at most frWindow runs) or at the head, so removeAt shifts at
+// most frWindow-1 entries. Capacity grows geometrically and is then reused
+// forever: steady-state operation performs no allocation.
 type reqRing struct {
-	ids  []int32 // power-of-two length
+	reqs []request // power-of-two length
 	head int
 	n    int
 }
 
-// grow doubles capacity (64 minimum), rewriting entries in queue order.
+// grow doubles capacity (16 minimum), rewriting entries in queue order.
 func (q *reqRing) grow() {
-	c := len(q.ids) * 2
+	c := len(q.reqs) * 2
 	if c == 0 {
-		c = 64
+		c = 16
 	}
-	ids := make([]int32, c)
+	reqs := make([]request, c)
 	for i := 0; i < q.n; i++ {
-		ids[i] = q.ids[(q.head+i)&(len(q.ids)-1)]
+		reqs[i] = *q.at(i)
 	}
-	q.ids = ids
+	q.reqs = reqs
 	q.head = 0
 }
 
-// push appends an id at the tail.
-func (q *reqRing) push(id int32) {
-	if q.n == len(q.ids) {
+// push appends a run at the tail.
+func (q *reqRing) push(r request) {
+	if q.n == len(q.reqs) {
 		q.grow()
 	}
-	q.ids[(q.head+q.n)&(len(q.ids)-1)] = id
+	q.reqs[(q.head+q.n)&(len(q.reqs)-1)] = r
 	q.n++
 }
 
-// at returns the id at queue position i (0 = oldest).
-func (q *reqRing) at(i int) int32 {
-	return q.ids[(q.head+i)&(len(q.ids)-1)]
+// at returns the run at queue position i (0 = oldest).
+func (q *reqRing) at(i int) *request {
+	return &q.reqs[(q.head+i)&(len(q.reqs)-1)]
 }
 
-// removeAt deletes the entry at position i by shifting the i entries in
-// front of it one slot toward the tail and advancing head — i is bounded by
-// the FR-FCFS window, so this is constant-time.
+// removeAt deletes the run at position i by shifting the i runs in front of
+// it one slot toward the tail and advancing head — i is bounded by the
+// FR-FCFS window, so this is constant-time.
 func (q *reqRing) removeAt(i int) {
-	mask := len(q.ids) - 1
+	mask := len(q.reqs) - 1
 	for ; i > 0; i-- {
-		q.ids[(q.head+i)&mask] = q.ids[(q.head+i-1)&mask]
+		q.reqs[(q.head+i)&mask] = q.reqs[(q.head+i-1)&mask]
 	}
 	q.head = (q.head + 1) & mask
 	q.n--

@@ -62,7 +62,8 @@ type Event struct {
 	Device int `json:"device,omitempty"`
 	// Channel is the offlined DRAM channel index (DRAMOffline).
 	Channel int `json:"channel,omitempty"`
-	// AtNS / DurationNS bound the fault window [AtNS, AtNS+DurationNS).
+	// AtNS / DurationNS bound the fault window [AtNS, AtNS+DurationNS),
+	// which must close by sim.MaxInputNS.
 	AtNS       int64 `json:"at_ns"`
 	DurationNS int64 `json:"duration_ns"`
 	// ExtraNS is the added per-access controller latency (DeviceSlow).
@@ -80,7 +81,8 @@ type Plan struct {
 	// Events are the scheduled faults, in any order.
 	Events []Event `json:"events"`
 	// MaxRetries bounds how often a timed-out read is re-sent before the
-	// request aborts (default 3).
+	// request aborts (default 3). TimeoutNS and the last retry's backoff,
+	// BackoffNS<<(MaxRetries-1), must not pass sim.MaxInputNS.
 	MaxRetries int `json:"max_retries,omitempty"`
 	// TimeoutNS is the switch-side deadline for a device read's reply
 	// (default 2000).
@@ -148,6 +150,15 @@ func (p *Plan) Validate(topo Topology) error {
 	if p.TimeoutNS < 0 || p.BackoffNS < 0 {
 		return fmt.Errorf("fault: negative timeout_ns/backoff_ns (%d/%d)", p.TimeoutNS, p.BackoffNS)
 	}
+	if p.Timeout() > sim.MaxInputNS {
+		return fmt.Errorf("fault: timeout_ns %d is past %d ns, the latest time an input may name", p.TimeoutNS, int64(sim.MaxInputNS))
+	}
+	// Retry k waits Backoff()<<(k-1), so the last retry's wait must stay
+	// inside the bound as well.
+	if r := p.RetryLimit(); p.Backoff() > sim.MaxInputNS>>(r-1) {
+		return fmt.Errorf("fault: backoff_ns %d doubled over %d retries passes %d ns, the latest time an input may name",
+			p.Backoff(), r, int64(sim.MaxInputNS))
+	}
 	links := make(map[string]bool, len(topo.Links))
 	for _, l := range topo.Links {
 		links[l] = true
@@ -158,6 +169,10 @@ func (p *Plan) Validate(topo Topology) error {
 		}
 		if e.DurationNS <= 0 {
 			return fmt.Errorf("fault: event %d (%s): duration_ns must be positive, got %d", i, e.Kind, e.DurationNS)
+		}
+		if e.AtNS > sim.MaxInputNS-e.DurationNS {
+			return fmt.Errorf("fault: event %d (%s): window at_ns %d + duration_ns %d ends past %d ns, the latest time an input may name",
+				i, e.Kind, e.AtNS, e.DurationNS, int64(sim.MaxInputNS))
 		}
 		switch e.Kind {
 		case LinkFlap:

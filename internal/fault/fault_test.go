@@ -1,9 +1,12 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"pifsrec/internal/sim"
 )
 
 func testTopo() Topology {
@@ -81,10 +84,19 @@ func TestValidateActionableErrors(t *testing.T) {
 		{"zero-duration",
 			Plan{Events: []Event{{Kind: DeviceFail, Device: 0, AtNS: 0}}},
 			[]string{"duration_ns must be positive"}},
+		{"window-overflows",
+			Plan{Events: []Event{{Kind: DeviceFail, Device: 0, AtNS: math.MaxInt64 - 10, DurationNS: 1000}}},
+			[]string{"event 0 (device-fail)", "ends past 1152921504606846976 ns"}},
+		{"window-past-bound",
+			Plan{Events: []Event{{Kind: SwitchStall, AtNS: sim.MaxInputNS - 4, DurationNS: 5}}},
+			[]string{"event 0 (switch-stall)", "latest time an input may name"}},
 		{"unknown-kind",
 			Plan{Events: []Event{{Kind: "gremlin", AtNS: 0, DurationNS: 1}}},
 			[]string{`unknown kind "gremlin"`, "link-flap"}},
 		{"negative-retries", Plan{MaxRetries: -1}, []string{"negative max_retries"}},
+		{"timeout-past-bound", Plan{TimeoutNS: math.MaxInt64}, []string{"timeout_ns 9223372036854775807 is past"}},
+		{"backoff-past-bound", Plan{BackoffNS: 1 << 58, MaxRetries: 4}, []string{"backoff_ns 288230376151711744 doubled over 4 retries"}},
+		{"retries-past-bound", Plan{MaxRetries: 64}, []string{"backoff_ns 1000 doubled over 64 retries"}},
 	}
 	for _, tc := range cases {
 		err := tc.plan.Validate(topo)
@@ -101,9 +113,14 @@ func TestValidateActionableErrors(t *testing.T) {
 	good := Plan{Events: []Event{
 		{Kind: LinkFlap, Target: "sw0-sw1.rsp", AtNS: 0, DurationNS: 1},
 		{Kind: DRAMOffline, Device: 3, Channel: 3, AtNS: 2, DurationNS: 4},
+		{Kind: DeviceFail, Device: 1, AtNS: sim.MaxInputNS - 5, DurationNS: 5},
 	}}
 	if err := good.Validate(topo); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
+	}
+	edge := Plan{TimeoutNS: sim.MaxInputNS, BackoffNS: 1 << 58, MaxRetries: 3}
+	if err := edge.Validate(topo); err != nil {
+		t.Errorf("plan at the input bound rejected: %v", err)
 	}
 	var nilPlan *Plan
 	if err := nilPlan.Validate(topo); err != nil {

@@ -167,12 +167,14 @@ func Load(path string) (*Spec, error) {
 }
 
 // Arrivals materializes the deterministic arrival schedule for n requests,
-// in nondecreasing tick order starting at or after 0. Identical specs
-// produce identical schedules — the engine injects arrival k as a calendar
-// event on host (k mod Hosts), matching the trace's bag striping, so the
-// schedule (and everything downstream of it) is independent of shard count
-// and placement. The spec must be valid; defaults are applied here so a
-// normalized and an un-normalized equivalent spec emit the same schedule.
+// in nondecreasing tick order starting at or after 0, or an error once an
+// arrival would fall past sim.MaxInputNS (a rate too low for n requests).
+// Identical specs produce identical schedules — the engine injects arrival
+// k as a calendar event on host (k mod Hosts), matching the trace's bag
+// striping, so the schedule (and everything downstream of it) is
+// independent of shard count and placement. The spec must be valid;
+// defaults are applied here so a normalized and an un-normalized
+// equivalent spec emit the same schedule.
 func (s *Spec) Arrivals(n int) ([]sim.Tick, error) {
 	norm, err := s.Normalized()
 	if err != nil {
@@ -189,7 +191,11 @@ func (s *Spec) Arrivals(n int) ([]sim.Tick, error) {
 		t := 0.0
 		for len(out) < n {
 			t += expGap(rng, perNS)
-			out = append(out, sim.Tick(t))
+			at, err := arrivalTick(len(out), t)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, at)
 		}
 	case Diurnal:
 		// Thinning: candidates at the peak rate, accepted with probability
@@ -200,9 +206,13 @@ func (s *Spec) Arrivals(n int) ([]sim.Tick, error) {
 		t := 0.0
 		for len(out) < n {
 			t += expGap(rng, peakPerNS)
+			at, err := arrivalTick(len(out), t)
+			if err != nil {
+				return nil, err
+			}
 			rate := norm.QPS * (1 + norm.Swing*math.Sin(omega*t)) / 1e9
 			if rng.Float64()*peakPerNS <= rate {
-				out = append(out, sim.Tick(t))
+				out = append(out, at)
 			}
 		}
 	case Trace:
@@ -213,10 +223,24 @@ func (s *Spec) Arrivals(n int) ([]sim.Tick, error) {
 		t := 0.0
 		for _, g := range gaps {
 			t += g
-			out = append(out, sim.Tick(t))
+			at, err := arrivalTick(len(out), t)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, at)
 		}
 	}
 	return out, nil
+}
+
+// arrivalTick converts arrival i's time t, in ns, to a tick, or reports it
+// past sim.MaxInputNS.
+func arrivalTick(i int, t float64) (sim.Tick, error) {
+	if !(t <= sim.MaxInputNS) {
+		return 0, fmt.Errorf("scenario: arrival %d at %.4g ns falls past %d ns, the latest time an input may name; raise qps",
+			i, t, int64(sim.MaxInputNS))
+	}
+	return sim.Tick(t), nil
 }
 
 // expGap draws one exponential inter-arrival gap (ns) at ratePerNS.

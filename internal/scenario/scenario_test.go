@@ -5,8 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"pifsrec/internal/sim"
 	"pifsrec/internal/trace"
 )
 
@@ -138,6 +140,31 @@ func TestTraceGapsShape(t *testing.T) {
 	}
 	if _, err := (&Spec{Kind: Trace, QPS: 1e6, ArrivalTracePath: writeArrivalTrace(t, nil)}).Arrivals(4); err == nil {
 		t.Fatal("empty arrival trace accepted")
+	}
+}
+
+// TestArrivalsPastInputBound checks that a rate too low for the requests
+// asked of it is an error from every generator once an arrival would fall
+// past sim.MaxInputNS, rather than a tick that wraps negative.
+func TestArrivalsPastInputBound(t *testing.T) {
+	arr := writeArrivalTrace(t, []int{4, 1, 9, 2})
+	for _, sp := range []Spec{
+		{Kind: Poisson, QPS: 1e-9, Seed: 1},
+		{Kind: Diurnal, QPS: 1e-9, Seed: 1},
+		{Kind: Trace, QPS: 1e-9, ArrivalTracePath: arr},
+	} {
+		if _, err := sp.Arrivals(64); err == nil || !strings.Contains(err.Error(), "latest time an input may name") {
+			t.Errorf("%s at %v qps: err %v, want the input bound named", sp.Kind, sp.QPS, err)
+		}
+		// A low but workable rate stays inside the bound.
+		sp.QPS = 1e-3
+		a, err := sp.Arrivals(64)
+		if err != nil {
+			t.Fatalf("%s at %v qps: %v", sp.Kind, sp.QPS, err)
+		}
+		if last := a[len(a)-1]; last <= 0 || last > sim.MaxInputNS {
+			t.Fatalf("%s at %v qps: last arrival %d", sp.Kind, sp.QPS, last)
+		}
 	}
 }
 

@@ -1,8 +1,13 @@
 package pifsrec
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
+	"time"
+
+	"pifsrec/internal/fault"
 )
 
 func smallModel() ModelConfig {
@@ -30,8 +35,9 @@ func TestSimulateRoundTrip(t *testing.T) {
 
 // TestSimulateRejectsBadInput builds traces bag by bag, as a library
 // caller would, and checks that Simulate reports each malformed one, and
-// each config with an unknown scheme or a non-finite float, as an error
-// instead of panicking or simulating it.
+// each config with an unknown scheme, a non-finite float or a time past
+// the input bound, as an error instead of panicking, hanging or simulating
+// it.
 func TestSimulateRejectsBadInput(t *testing.T) {
 	m := smallModel()
 	// Control: a well-formed hand-built trace, with the edge rows and
@@ -67,21 +73,55 @@ func TestSimulateRejectsBadInput(t *testing.T) {
 		{"infinite diurnal swing", ok, func(c *Config) {
 			c.Scenario = &ScenarioSpec{Kind: ScenarioDiurnal, QPS: 1e6, Swing: inf}
 		}},
+		// Far-future times: a window end that overflows int64 used to make
+		// the sharded loop elide one window forever, and an arrival past
+		// int64 used to become a negative tick and panic the calendar.
+		{"fault window past the input bound", ok, func(c *Config) {
+			c.Faults = &FaultPlan{Events: []fault.Event{
+				{Kind: fault.DeviceFail, Device: 0, AtNS: math.MaxInt64 - 10, DurationNS: 1000}}}
+		}},
+		{"fault timeout past the input bound", ok, func(c *Config) {
+			c.Faults = &FaultPlan{TimeoutNS: math.MaxInt64, Events: []fault.Event{
+				{Kind: fault.DeviceFail, Device: 0, AtNS: 0, DurationNS: 1000}}}
+		}},
+		{"arrivals past the input bound", ok, func(c *Config) {
+			// At 1e-9 qps the mean gap is 1e18 ns, so 64 arrivals run past
+			// 2^63 ns.
+			for range 63 {
+				c.Trace.Bags = append(c.Trace.Bags, ok)
+			}
+			c.Scenario = &ScenarioSpec{Kind: ScenarioPoisson, QPS: 1e-9}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("Simulate panicked: %v", r)
-				}
-			}()
 			tr := &Trace{Tables: m.Tables, RowsPerTable: m.EmbRows, Bags: []Bag{tc.bag}}
 			cfg := Config{Scheme: PIFSRec, Model: m, Trace: tr, Seed: 1}
 			if tc.edit != nil {
 				tc.edit(&cfg)
 			}
-			if _, err := Simulate(cfg); err == nil {
-				t.Fatal("Simulate accepted the input")
+			// Simulate runs under a deadline, so an input that hangs it
+			// fails this case instead of stalling the suite.
+			res := make(chan error, 1)
+			go func() {
+				defer func() {
+					if r := recover(); r != nil {
+						res <- fmt.Errorf("Simulate panicked: %v", r)
+					}
+				}()
+				if _, err := Simulate(cfg); err == nil {
+					res <- errors.New("Simulate accepted the input")
+				} else {
+					res <- nil
+				}
+			}()
+			select {
+			case err := <-res:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatal("Simulate did not return within 20 s")
 			}
 		})
 	}
