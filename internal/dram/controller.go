@@ -123,7 +123,9 @@ func (c *Controller) enqueue(addr uint64, lines int, write bool, batch int32) {
 	for lines > 0 {
 		idx, bank, rank, row := c.dec.decode(addr)
 		n := min(c.dec.chunkLines(addr), lines)
-		c.chans[idx].enqueue(request{submit: now, batch: batch, row: row, n: int32(n), bank: bank, rank: rank, write: write})
+		ch := c.chans[idx]
+		ch.q.push(request{submit: now, batch: batch, row: row, n: int32(n), bank: bank, rank: rank, write: write})
+		ch.kick(now)
 		addr += uint64(n) * accessBytes
 		lines -= n
 	}
@@ -187,10 +189,6 @@ type channel struct {
 	// it keeps the kick path allocation-free.
 	serviceThunk func()
 
-	// refEnd is the end of the tREFI period refreshAdjust last placed a time
-	// in (0 before the first).
-	refEnd sim.Tick
-
 	stats Stats
 
 	// precomputed timing in ns
@@ -220,20 +218,6 @@ func newChannel(c *Controller) *channel {
 	return ch
 }
 
-// enqueue appends run r, extending the tail run instead when it holds lines
-// of the same batch, bank and row. A queued run means the service loop is
-// already kicked.
-func (ch *channel) enqueue(r request) {
-	if q := &ch.q; q.n > 0 {
-		if t := q.at(q.n - 1); t.batch == r.batch && t.bank == r.bank && t.row == r.row {
-			t.n += r.n
-			return
-		}
-	}
-	ch.q.push(r)
-	ch.kick(r.submit)
-}
-
 func (ch *channel) kick(at sim.Tick) {
 	if ch.kicked {
 		return
@@ -246,17 +230,14 @@ func (ch *channel) kick(at sim.Tick) {
 // modelled as the channel being unavailable for tRFC at the *end* of each
 // tREFI interval — an analytic stand-in for staggered per-rank refresh that
 // costs the same bandwidth fraction (tRFC/tREFI) while keeping time zero
-// serviceable. It divides only when t leaves the period it last adjusted a
-// time in.
+// serviceable.
 func (ch *channel) refreshAdjust(t sim.Tick) sim.Tick {
 	if ch.refi == 0 {
 		return t
 	}
-	if t >= ch.refEnd || t < ch.refEnd-ch.refi {
-		ch.refEnd = t - t%ch.refi + ch.refi
-	}
-	if t >= ch.refEnd-ch.rfc {
-		return ch.refEnd
+	pos := t % ch.refi
+	if pos >= ch.refi-ch.rfc {
+		return t + (ch.refi - pos)
 	}
 	return t
 }

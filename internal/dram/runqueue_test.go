@@ -9,9 +9,8 @@ import (
 
 // lineController is the per-line scheduler the run queue replaced, kept as
 // the reference the differential test holds Controller to. Every 64 B line
-// is decoded and queued on its own, FR-FCFS scans up to frWindow lines, and
-// refresh divides on every adjustment. Its batch slots are a Controller's,
-// whose own channels stay idle.
+// is decoded and queued on its own, and FR-FCFS scans up to frWindow lines.
+// Its batch slots are a Controller's, whose own channels stay idle.
 type lineController struct {
 	ctl   *Controller
 	chans []*lineChannel
@@ -112,15 +111,13 @@ func (ch *lineChannel) kick(at sim.Tick) {
 	ch.ctl.eng.At(at, ch.serviceThunk)
 }
 
-// refreshByModulo is refreshAdjust in its stateless form: one division per
-// call.
-func refreshByModulo(refi, rfc, t sim.Tick) sim.Tick {
-	if refi == 0 {
+func (ch *lineChannel) refreshAdjust(t sim.Tick) sim.Tick {
+	if ch.refi == 0 {
 		return t
 	}
-	pos := t % refi
-	if pos >= refi-rfc {
-		return t + (refi - pos)
+	pos := t % ch.refi
+	if pos >= ch.refi-ch.rfc {
+		return t + (ch.refi - pos)
 	}
 	return t
 }
@@ -195,7 +192,7 @@ func (ch *lineChannel) issue(r *request, now sim.Tick) (cmdAt, doneAt sim.Tick) 
 		if ra := ch.rankAct[r.rank]; ra > t {
 			t = ra
 		}
-		actAt := refreshByModulo(ch.refi, ch.rfc, t)
+		actAt := ch.refreshAdjust(t)
 		b.openRow = row
 		b.colReadyAt = actAt + ch.rcd
 		b.preReadyAt = actAt + ch.ras
@@ -206,7 +203,7 @@ func (ch *lineChannel) issue(r *request, now sim.Tick) (cmdAt, doneAt sim.Tick) 
 	}
 
 	cmdAt = max64(now, b.colReadyAt)
-	cmdAt = refreshByModulo(ch.refi, ch.rfc, cmdAt)
+	cmdAt = ch.refreshAdjust(cmdAt)
 
 	if r.write {
 		dataAt := max64(cmdAt+ch.cwl, ch.busFree)
@@ -405,47 +402,6 @@ func TestRunQueueMatchesLineReference(t *testing.T) {
 					t.Fatalf("traffic too thin to compare: %d completions, %+v", len(got), st)
 				}
 			})
-		}
-	}
-}
-
-// TestRefreshAdjustMatchesModulo holds the channel's period-tracking
-// refreshAdjust to the one-division form on times around every period edge
-// and refresh-window start, walked forward, backward and at random, on both
-// timing presets and with refresh off.
-func TestRefreshAdjustMatchesModulo(t *testing.T) {
-	noRefresh := DDR5_4800()
-	noRefresh.REFI = 0
-	for _, tim := range []Timing{DDR5_4800(), DDR4_3200(), noRefresh} {
-		ch := newChannel(&Controller{geo: Table2Geometry(), tim: tim})
-		refi, rfc := tim.ns(tim.REFI), tim.ns(tim.RFC)
-		var times []sim.Tick
-		for k := sim.Tick(0); k < 40; k++ {
-			for _, edge := range []sim.Tick{k * refi, k*refi - rfc} {
-				for d := sim.Tick(-2); d <= 2; d++ {
-					if edge+d >= 0 {
-						times = append(times, edge+d)
-					}
-				}
-			}
-		}
-		rng := sim.NewRNG(3)
-		for range 20000 {
-			times = append(times, sim.Tick(rng.Int63n(int64(50*max(refi, 1)))))
-		}
-		check := func(order string, t0 sim.Tick) {
-			if got, want := ch.refreshAdjust(t0), refreshByModulo(refi, rfc, t0); got != want {
-				t.Fatalf("%s, refi %d rfc %d: refreshAdjust(%d) = %d, want %d", order, refi, rfc, t0, got, want)
-			}
-		}
-		for _, t0 := range times {
-			check("as listed", t0)
-		}
-		for i := len(times) - 1; i >= 0; i-- {
-			check("reversed", times[i])
-		}
-		for range 20000 {
-			check("shuffled", times[rng.Intn(len(times))])
 		}
 	}
 }

@@ -66,7 +66,8 @@ type Event struct {
 	// which must close by sim.MaxInputNS.
 	AtNS       int64 `json:"at_ns"`
 	DurationNS int64 `json:"duration_ns"`
-	// ExtraNS is the added per-access controller latency (DeviceSlow).
+	// ExtraNS is the added per-access controller latency (DeviceSlow), at
+	// most sim.MaxInputNS.
 	ExtraNS int64 `json:"extra_ns,omitempty"`
 }
 
@@ -185,8 +186,9 @@ func (p *Plan) Validate(topo Topology) error {
 				return fmt.Errorf("fault: event %d (%s): device %d out of range — the configuration has %d devices (0..%d)",
 					i, e.Kind, e.Device, topo.Devices, topo.Devices-1)
 			}
-			if e.Kind == DeviceSlow && e.ExtraNS <= 0 {
-				return fmt.Errorf("fault: event %d (device-slow): extra_ns must be positive, got %d", i, e.ExtraNS)
+			if e.Kind == DeviceSlow && (e.ExtraNS <= 0 || e.ExtraNS > sim.MaxInputNS) {
+				return fmt.Errorf("fault: event %d (device-slow): extra_ns must be positive and at most %d ns, the longest delay an input may name, got %d",
+					i, int64(sim.MaxInputNS), e.ExtraNS)
 			}
 		case DRAMOffline:
 			if e.Device < 0 || e.Device >= topo.Devices {

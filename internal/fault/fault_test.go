@@ -78,6 +78,9 @@ func TestValidateActionableErrors(t *testing.T) {
 		{"slow-needs-extra",
 			Plan{Events: []Event{{Kind: DeviceSlow, Device: 0, AtNS: 0, DurationNS: 1}}},
 			[]string{"extra_ns must be positive"}},
+		{"slow-extra-past-bound",
+			Plan{Events: []Event{{Kind: DeviceSlow, Device: 0, AtNS: 0, DurationNS: 1000, ExtraNS: math.MaxInt64}}},
+			[]string{"event 0 (device-slow)", "at most 1152921504606846976 ns", "got 9223372036854775807"}},
 		{"negative-at",
 			Plan{Events: []Event{{Kind: DeviceFail, Device: 0, AtNS: -5, DurationNS: 1}}},
 			[]string{"negative at_ns"}},

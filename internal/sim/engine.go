@@ -38,11 +38,11 @@ type Tick = int64
 const MaxTick Tick = math.MaxInt64
 
 // MaxInputNS is the latest time, or longest delay, an input may name: the
-// end of a fault window (at_ns + duration_ns), a fault plan's retry timeout
-// and longest backoff, and every open-loop arrival. 2^60 ns is about 36
-// years of simulated time, and it leaves room below MaxTick for what the
-// engine adds on top (a barrier window, component latencies) without
-// overflowing a Tick.
+// end of a fault window (at_ns + duration_ns), a device-slow fault's added
+// latency, a fault plan's retry timeout and longest backoff, and every
+// open-loop arrival. 2^60 ns is about 36 years of simulated time, and it
+// leaves room below MaxTick for what the engine adds on top (a barrier
+// window, component latencies) without overflowing a Tick.
 const MaxInputNS = 1 << 60
 
 // ringHorizon is the span of the near-future bucket ring in ticks. Delays

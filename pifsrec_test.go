@@ -75,7 +75,8 @@ func TestSimulateRejectsBadInput(t *testing.T) {
 		}},
 		// Far-future times: a window end that overflows int64 used to make
 		// the sharded loop elide one window forever, and an arrival past
-		// int64 used to become a negative tick and panic the calendar.
+		// int64 or a device-slow delay near it used to become a negative
+		// tick and panic.
 		{"fault window past the input bound", ok, func(c *Config) {
 			c.Faults = &FaultPlan{Events: []fault.Event{
 				{Kind: fault.DeviceFail, Device: 0, AtNS: math.MaxInt64 - 10, DurationNS: 1000}}}
@@ -83,6 +84,11 @@ func TestSimulateRejectsBadInput(t *testing.T) {
 		{"fault timeout past the input bound", ok, func(c *Config) {
 			c.Faults = &FaultPlan{TimeoutNS: math.MaxInt64, Events: []fault.Event{
 				{Kind: fault.DeviceFail, Device: 0, AtNS: 0, DurationNS: 1000}}}
+		}},
+		{"device-slow extra past the input bound", ok, func(c *Config) {
+			// The slowed access's completion time used to wrap negative.
+			c.Faults = &FaultPlan{Events: []fault.Event{
+				{Kind: fault.DeviceSlow, Device: 0, AtNS: 0, DurationNS: 1000, ExtraNS: math.MaxInt64}}}
 		}},
 		{"arrivals past the input bound", ok, func(c *Config) {
 			// At 1e-9 qps the mean gap is 1e18 ns, so 64 arrivals run past
