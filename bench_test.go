@@ -16,6 +16,7 @@ package pifsrec
 import (
 	"bytes"
 	"container/heap"
+	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -502,5 +503,35 @@ func BenchmarkTraceHash(b *testing.B) {
 		if _, err := tr.Hash(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDecodeJobResult decodes a cached result of about 1 KB, the
+// closed-loop PIFS-Rec run that latency-knee starts with. compact is its
+// EncodeJobResult payload, which the compact reader takes; indented is the
+// same entry indented, which goes to json.Unmarshal.
+func BenchmarkDecodeJobResult(b *testing.B) {
+	res := harness.NewRunner(1).RunJobs(harness.Jobs("latency-knee")[:1])
+	compact, err := harness.EncodeJobResult(res[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, compact, "", "  "); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+	}{{"compact", compact}, {"indented", indented.Bytes()}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(c.payload)))
+			for b.Loop() {
+				if _, err := harness.DecodeJobResult(c.payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -161,6 +161,14 @@ func (c *Config) fillDefaults() error {
 	default:
 		return fmt.Errorf("engine: unknown scheme %q", c.Scheme)
 	}
+	for _, n := range []struct {
+		field string
+		v     int
+	}{{"Hosts", c.Hosts}, {"Switches", c.Switches}, {"Devices", c.Devices}, {"BufferBytes", c.BufferBytes}} {
+		if n.v < 0 {
+			return fmt.Errorf("engine: negative %s %d", n.field, n.v)
+		}
+	}
 	c.Hosts, c.Switches, c.Devices = defaultCounts(c.Hosts, c.Switches, c.Devices)
 	if c.Switches > 1 && c.Scheme != PIFSRec {
 		return fmt.Errorf("engine: scheme %s does not support %d switches", c.Scheme, c.Switches)
@@ -191,17 +199,30 @@ func (c *Config) fillDefaults() error {
 		// bound on individual CXL round trips.
 		c.HostParallelism = 48
 	}
+	if c.HostParallelism < 1 {
+		return fmt.Errorf("engine: HostParallelism %d is below 1", c.HostParallelism)
+	}
 	if c.HostParallelism >= 64 {
 		return fmt.Errorf("engine: HostParallelism %d exceeds the 6-bit sumtag space", c.HostParallelism)
 	}
 	if c.EpochBags == 0 {
 		c.EpochBags = 64
 	}
+	if c.EpochBags < 1 {
+		return fmt.Errorf("engine: EpochBags %d is below 1", c.EpochBags)
+	}
 	if c.BufferPolicy == "" {
 		c.BufferPolicy = osb.HTR
 	}
 	if c.Scheme == PIFSRec && c.BufferBytes == 0 && !c.DisableOSB {
 		c.BufferBytes = 512 << 10 // paper default 512 KB
+	}
+	if c.Scheme == PIFSRec && !c.DisableOSB && c.BufferBytes > 0 {
+		// Each switch builds this buffer with osb.New, which panics on what
+		// osb.Validate rejects.
+		if err := osb.Validate(c.BufferBytes, c.BufferPolicy); err != nil {
+			return fmt.Errorf("engine: on-switch buffer BufferBytes %d, BufferPolicy %q: %w", c.BufferBytes, c.BufferPolicy, err)
+		}
 	}
 	if c.Scheme != PIFSRec && c.Scheme != RecNMP {
 		c.BufferBytes = 0

@@ -178,18 +178,29 @@ func (n *NumaJob) fold(h *memo.Hasher) {
 }
 
 // EncodeJobResult serializes a result for the cache and the distribution
-// wire. The payload format is JSON — corruption safety comes from the
-// store's framing and checksum, and schema safety from the result-schema
-// fingerprint in the key, so the payload encoding only has to round-trip
-// exactly. encoding/json emits the shortest float representation that
-// parses back to the identical bits, which is what keeps warm tables
-// byte-identical to cold ones — and a decode→re-encode cycle (a worker
-// result passing through the coordinator) byte-stable.
+// wire. The payload format is json.Marshal's compact JSON — corruption
+// safety comes from the store's framing and checksum, and schema safety
+// from the result-schema fingerprint in the key, so the payload encoding
+// only has to round-trip exactly. encoding/json emits the shortest float
+// representation that parses back to the identical bits, which is what
+// keeps warm tables byte-identical to cold ones — and a decode→re-encode
+// cycle (a worker result passing through the coordinator) byte-stable.
+// DecodeJobResult reads these bytes without encoding/json.
 func EncodeJobResult(r JobResult) ([]byte, error) { return json.Marshal(r) }
 
-// DecodeJobResult is the inverse of EncodeJobResult.
+// DecodeJobResult is the inverse of EncodeJobResult. For every input it
+// fails exactly when json.Unmarshal into a fresh JobResult fails, and
+// otherwise returns a value reflect.DeepEqual to that one. readCompact
+// reads the bytes EncodeJobResult writes, following a layout built from the
+// JobResult type and parsing numbers with strconv, not encoding/json; any
+// other input, such as an indented entry, goes to json.Unmarshal, which
+// gives the answer, error included. It is safe for concurrent use.
 func DecodeJobResult(payload []byte) (JobResult, error) {
 	var r JobResult
+	if readCompact(payload, &r) {
+		return r, nil
+	}
+	r = JobResult{}
 	err := json.Unmarshal(payload, &r)
 	return r, err
 }

@@ -114,16 +114,25 @@ func (h *entryHeap) Pop() any {
 	return e
 }
 
-// New builds a buffer. Capacity must lie in the supported SRAM range.
-func New(capacityBytes int, policy Policy) *Buffer {
+// Validate reports whether New accepts capacityBytes and policy: the
+// capacity must lie in the supported SRAM range and the policy must be HTR,
+// LRU or FIFO.
+func Validate(capacityBytes int, policy Policy) error {
 	if capacityBytes < minBufferBytes || capacityBytes > maxBufferBytes {
-		panic(fmt.Sprintf("osb: capacity %d outside SRAM range [%d, %d]",
-			capacityBytes, minBufferBytes, maxBufferBytes))
+		return fmt.Errorf("osb: capacity %d outside SRAM range [%d, %d]",
+			capacityBytes, minBufferBytes, maxBufferBytes)
 	}
 	switch policy {
 	case HTR, LRU, FIFO:
-	default:
-		panic(fmt.Sprintf("osb: unknown policy %q", policy))
+		return nil
+	}
+	return fmt.Errorf("osb: unknown policy %q", policy)
+}
+
+// New builds a buffer. It panics on what Validate rejects.
+func New(capacityBytes int, policy Policy) *Buffer {
+	if err := Validate(capacityBytes, policy); err != nil {
+		panic(err.Error())
 	}
 	return &Buffer{
 		policy:    policy,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,28 +52,30 @@ func TestSimulateRejectsBadInput(t *testing.T) {
 
 	ok := Bag{Table: 0, Indices: []uint32{1}}
 	nan, inf := math.NaN(), math.Inf(1)
+	// A case with a field also needs the error to name that config field.
 	cases := []struct {
-		name string
-		bag  Bag
-		edit func(*Config)
+		name  string
+		bag   Bag
+		edit  func(*Config)
+		field string
 	}{
-		{"row past table", Bag{Table: 0, Indices: []uint32{uint32(m.EmbRows)}}, nil},
-		{"table past model", Bag{Table: int32(m.Tables), Indices: []uint32{1}}, nil},
-		{"negative table", Bag{Table: -1, Indices: []uint32{1}}, nil},
-		{"one weight for two indices", Bag{Table: 0, Indices: []uint32{1, 2}, Weights: []float32{0.5}}, nil},
-		{"unknown scheme", ok, func(c *Config) { c.Scheme = "warp-drive" }},
+		{"row past table", Bag{Table: 0, Indices: []uint32{uint32(m.EmbRows)}}, nil, ""},
+		{"table past model", Bag{Table: int32(m.Tables), Indices: []uint32{1}}, nil, ""},
+		{"negative table", Bag{Table: -1, Indices: []uint32{1}}, nil, ""},
+		{"one weight for two indices", Bag{Table: 0, Indices: []uint32{1, 2}, Weights: []float32{0.5}}, nil, ""},
+		{"unknown scheme", ok, func(c *Config) { c.Scheme = "warp-drive" }, ""},
 		// JSON has no NaN or infinity, and no config float means anything
 		// there.
-		{"NaN LocalFraction", ok, func(c *Config) { c.LocalFraction = nan }},
-		{"infinite LocalFraction", ok, func(c *Config) { c.LocalFraction = inf }},
-		{"NaN ColdAgeThreshold", ok, func(c *Config) { c.ColdAgeThreshold = nan }},
-		{"infinite MigrateThreshold", ok, func(c *Config) { c.MigrateThreshold = -inf }},
+		{"NaN LocalFraction", ok, func(c *Config) { c.LocalFraction = nan }, ""},
+		{"infinite LocalFraction", ok, func(c *Config) { c.LocalFraction = inf }, ""},
+		{"NaN ColdAgeThreshold", ok, func(c *Config) { c.ColdAgeThreshold = nan }, ""},
+		{"infinite MigrateThreshold", ok, func(c *Config) { c.MigrateThreshold = -inf }, ""},
 		{"NaN poisson swing", ok, func(c *Config) {
 			c.Scenario = &ScenarioSpec{Kind: ScenarioPoisson, QPS: 1e6, Swing: nan}
-		}},
+		}, ""},
 		{"infinite diurnal swing", ok, func(c *Config) {
 			c.Scenario = &ScenarioSpec{Kind: ScenarioDiurnal, QPS: 1e6, Swing: inf}
-		}},
+		}, ""},
 		// Far-future times: a window end that overflows int64 used to make
 		// the sharded loop elide one window forever, and an arrival past
 		// int64 or a device-slow delay near it used to become a negative
@@ -80,16 +83,16 @@ func TestSimulateRejectsBadInput(t *testing.T) {
 		{"fault window past the input bound", ok, func(c *Config) {
 			c.Faults = &FaultPlan{Events: []fault.Event{
 				{Kind: fault.DeviceFail, Device: 0, AtNS: math.MaxInt64 - 10, DurationNS: 1000}}}
-		}},
+		}, ""},
 		{"fault timeout past the input bound", ok, func(c *Config) {
 			c.Faults = &FaultPlan{TimeoutNS: math.MaxInt64, Events: []fault.Event{
 				{Kind: fault.DeviceFail, Device: 0, AtNS: 0, DurationNS: 1000}}}
-		}},
+		}, ""},
 		{"device-slow extra past the input bound", ok, func(c *Config) {
 			// The slowed access's completion time used to wrap negative.
 			c.Faults = &FaultPlan{Events: []fault.Event{
 				{Kind: fault.DeviceSlow, Device: 0, AtNS: 0, DurationNS: 1000, ExtraNS: math.MaxInt64}}}
-		}},
+		}, ""},
 		{"arrivals past the input bound", ok, func(c *Config) {
 			// At 1e-9 qps the mean gap is 1e18 ns, so 64 arrivals run past
 			// 2^63 ns.
@@ -97,7 +100,18 @@ func TestSimulateRejectsBadInput(t *testing.T) {
 				c.Trace.Bags = append(c.Trace.Bags, ok)
 			}
 			c.Scenario = &ScenarioSpec{Kind: ScenarioPoisson, QPS: 1e-9}
-		}},
+		}, ""},
+		// Counts and sizes below their range used to panic, run, or fail
+		// with an error about something else.
+		{"negative Hosts", ok, func(c *Config) { c.Hosts = -1 }, "Hosts"},
+		{"negative Switches", ok, func(c *Config) { c.Switches = -1 }, "Switches"},
+		{"negative Devices", ok, func(c *Config) { c.Devices = -1 }, "Devices"},
+		{"negative HostParallelism", ok, func(c *Config) { c.HostParallelism = -1 }, "HostParallelism"},
+		{"negative EpochBags", ok, func(c *Config) { c.EpochBags = -1 }, "EpochBags"},
+		{"negative BufferBytes", ok, func(c *Config) { c.BufferBytes = -1 }, "BufferBytes"},
+		{"BufferBytes below the SRAM range", ok, func(c *Config) { c.BufferBytes = 1 }, "BufferBytes"},
+		{"BufferBytes above the SRAM range", ok, func(c *Config) { c.BufferBytes = 1 << 30 }, "BufferBytes"},
+		{"unknown BufferPolicy", ok, func(c *Config) { c.BufferPolicy = "zz" }, "BufferPolicy"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,9 +129,13 @@ func TestSimulateRejectsBadInput(t *testing.T) {
 						res <- fmt.Errorf("Simulate panicked: %v", r)
 					}
 				}()
-				if _, err := Simulate(cfg); err == nil {
+				_, err := Simulate(cfg)
+				switch {
+				case err == nil:
 					res <- errors.New("Simulate accepted the input")
-				} else {
+				case !strings.Contains(err.Error(), tc.field):
+					res <- fmt.Errorf("error %q does not name %s", err, tc.field)
+				default:
 					res <- nil
 				}
 			}()
