@@ -26,6 +26,7 @@ import (
 	"pifsrec/internal/dram"
 	"pifsrec/internal/engine"
 	"pifsrec/internal/harness"
+	"pifsrec/internal/memo"
 	"pifsrec/internal/osb"
 	"pifsrec/internal/pifs"
 	"pifsrec/internal/sim"
@@ -533,5 +534,42 @@ func BenchmarkDecodeJobResult(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkStoreWarmRead re-opens a disk result store holding 800 entries
+// of about 950 B, the size of a cached result, and reads every entry back:
+// the warm path of a sweep re-answered from -cache-dir by a new process.
+// One op is one Open plus 800 Gets, each a miss of the empty memory cache.
+func BenchmarkStoreWarmRead(b *testing.B) {
+	dir := b.TempDir()
+	st, err := memo.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]memo.Hash, 800)
+	for i := range keys {
+		h := memo.New("warm-read")
+		h.I64(int64(i))
+		keys[i] = h.Sum()
+		if err := st.Put(keys[i], bytes.Repeat([]byte{'a' + byte(i%26)}, 900+i%100)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		st, err := memo.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range keys {
+			if _, ok := st.Get(k); !ok {
+				b.Fatal("stored entry missed")
+			}
+		}
+		st.Close()
 	}
 }

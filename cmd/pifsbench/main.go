@@ -34,12 +34,16 @@ func main() {
 	// The cache directory is probed before any sweep starts: a path that
 	// cannot be created or written is a usage error now, not a degraded
 	// cache discovered an hour into RunAll.
+	var store *memo.Store
 	if *cacheDir != "" {
-		store, err := memo.Open(*cacheDir)
-		if err != nil {
+		var err error
+		if store, err = memo.Open(*cacheDir); err != nil {
 			fmt.Fprintln(os.Stderr, "pifsbench:", err)
 			os.Exit(2)
 		}
+		// Every Put is written through when it returns; a sweep that fills
+		// the cache also checks Close below.
+		defer store.Close()
 		harness.SetStore(store)
 	}
 
@@ -93,6 +97,10 @@ func main() {
 	if *cacheDir != "" {
 		s := harness.CacheStats()
 		fmt.Fprintf(os.Stderr, "pifsbench: memo hits=%d misses=%d corrupt=%d\n", s.Hits, s.Misses, s.CorruptEntries)
+		if err := store.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "pifsbench:", err)
+			os.Exit(1)
+		}
 	}
 }
 

@@ -82,15 +82,28 @@ func main() {
 	flag.Parse()
 
 	// Flag validation fails fast with actionable messages and exit code 2
-	// (usage error), before any simulation state is assembled. The cache
-	// directory is probed here — a path that cannot be created or written is
-	// a usage error now, not a degraded cache discovered mid-sweep.
+	// (usage error), before any simulation state is assembled. A worker's
+	// lease batch and poll must lie within what a coordinator grants
+	// (serve.LeaseBounds), not be clamped or defaulted behind its back. The
+	// cache directory is probed here — a path that cannot be created or
+	// written is a usage error now, not a degraded cache discovered
+	// mid-sweep.
+	if *workerURL != "" {
+		if _, _, err := serve.LeaseBounds(*leaseMax, *poll); err != nil {
+			fmt.Fprintf(os.Stderr, "pifssim: -lease-max %d, -poll %v: %v\n", *leaseMax, *poll, err)
+			os.Exit(2)
+		}
+	}
+	var store *memo.Store
 	if *cacheDir != "" {
-		store, err := memo.Open(*cacheDir)
-		if err != nil {
+		var err error
+		if store, err = memo.Open(*cacheDir); err != nil {
 			fmt.Fprintln(os.Stderr, "pifssim:", err)
 			os.Exit(2)
 		}
+		// Every Put is written through when it returns; the paths that
+		// fill the cache also check Close (closeStore).
+		defer store.Close()
 		harness.SetStore(store)
 	}
 
@@ -122,13 +135,9 @@ func main() {
 	}
 
 	if *workerURL != "" {
-		var store *memo.Store
-		if *cacheDir != "" {
-			// Reuse the store probed above so the worker's cache survives
-			// restarts; without -cache-dir the worker memoizes in memory for
-			// its lifetime.
-			store = harness.CurrentStore()
-		}
+		// The store probed above keeps the worker's cache across restarts;
+		// without -cache-dir (store nil) the worker memoizes in memory for
+		// its lifetime.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
 		err := serve.RunWorker(ctx, serve.WorkerConfig{
@@ -143,6 +152,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "pifssim:", err)
 			os.Exit(1)
 		}
+		closeStore(store)
 		return
 	}
 
@@ -157,6 +167,7 @@ func main() {
 			s := harness.CacheStats()
 			fmt.Fprintf(os.Stderr, "pifssim: memo hits=%d misses=%d\n", s.Hits, s.Misses)
 		}
+		closeStore(store)
 		return
 	}
 	switch pifsrec.Scheme(*scheme) {
@@ -309,6 +320,18 @@ func firedShare(shares []float64) string {
 		out += fmt.Sprintf("%.0f%%", 100*s)
 	}
 	return out + "]"
+}
+
+// closeStore closes a -cache-dir store (nil for none), exiting 1 if the
+// close reports an error.
+func closeStore(st *memo.Store) {
+	if st == nil {
+		return
+	}
+	if err := st.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "pifssim:", err)
+		os.Exit(1)
+	}
 }
 
 func cacheDesc(dir string) string {

@@ -92,7 +92,7 @@ type Config struct {
 	PageBlockMigration bool
 
 	// HostParallelism is the number of SLS bags each host keeps in flight
-	// (batch threading across cores). Default 8.
+	// (batch threading across cores). Default 48; at most 63.
 	HostParallelism int
 	// EpochBags is the page-management epoch length in completed bags.
 	// Default 64.
@@ -270,7 +270,10 @@ type Result struct {
 	Scheme  Scheme
 	TotalNS sim.Tick
 	Bags    int
-	// NSPerBag is the mean SLS operator latency the figures compare.
+	// NSPerBag is TotalNS, the makespan (the last host's finish), divided
+	// by Bags: an inverse throughput, which the figures compare. It is not a
+	// bag's latency; with many bags in flight a bag takes far longer than
+	// this. Latency reports per-bag latency for open-loop runs.
 	NSPerBag float64
 
 	HostLinkDownBytes int64

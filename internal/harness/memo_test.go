@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -154,9 +155,10 @@ func TestSaltBumpInvalidatesEverything(t *testing.T) {
 	}
 }
 
-// TestCorruptCacheCannotChangeResults corrupts every on-disk entry and
-// asserts the sweep still produces byte-identical tables — corruption can
-// only cost re-simulation, never correctness.
+// TestCorruptCacheCannotChangeResults flips a payload bit in every record
+// of the cache's log and asserts the sweep still produces byte-identical
+// tables, counting each record corrupt once — corruption can only cost
+// re-simulation, never correctness.
 func TestCorruptCacheCannotChangeResults(t *testing.T) {
 	var baseline bytes.Buffer
 	if err := Run("ablation-migration", &baseline); err != nil {
@@ -177,25 +179,28 @@ func TestCorruptCacheCannotChangeResults(t *testing.T) {
 		t.Fatal("cold cached table differs from uncached table")
 	}
 
-	// Flip a payload bit in every entry file.
-	entries := 0
-	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, werr error) error {
-		if werr != nil || d.IsDir() || !strings.HasSuffix(path, ".m1") {
-			return werr
-		}
-		raw, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return rerr
-		}
-		raw[len(raw)/2] ^= 0x01
-		entries++
-		return os.WriteFile(path, raw, 0o644)
-	})
+	// Flip a payload bit in every record of the store's log.
+	logPath := filepath.Join(dir, "results.log")
+	raw, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if entries == 0 {
-		t.Fatal("no cache entries written")
+	records := 0
+	for off := 0; off < len(raw); records++ {
+		if len(raw)-off < memo.FrameOverhead {
+			t.Fatalf("log ends in a %d-byte fragment", len(raw)-off)
+		}
+		// A record is a 46-byte header (its payload length in the last 4
+		// bytes), the payload and a 4-byte CRC.
+		plen := int(binary.LittleEndian.Uint32(raw[off+42:]))
+		raw[off+46+plen/2] ^= 0x01
+		off += memo.FrameOverhead + plen
+	}
+	if records == 0 {
+		t.Fatal("no cache records written")
+	}
+	if err := os.WriteFile(logPath, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	// A fresh store over the damaged directory (cold LRU, like a new
@@ -213,8 +218,8 @@ func TestCorruptCacheCannotChangeResults(t *testing.T) {
 		t.Error("corrupt cache changed the table bytes")
 	}
 	st := fresh.Stats()
-	if st.CorruptEntries != int64(entries) {
-		t.Errorf("%d corrupt entries detected, want %d", st.CorruptEntries, entries)
+	if st.CorruptEntries != int64(records) {
+		t.Errorf("%d corrupt entries detected, want %d", st.CorruptEntries, records)
 	}
 }
 

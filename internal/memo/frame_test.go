@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestFrameRoundTrip pins the frame codec shared by cache entry files and
+// TestFrameRoundTrip pins the frame codec shared by cache log records and
 // distributed result posts: a frame decodes only under the key it was
 // encoded for, and only byte-perfect.
 func TestFrameRoundTrip(t *testing.T) {

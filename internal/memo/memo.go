@@ -1,7 +1,9 @@
 // Package memo implements content-addressed result memoization for the
 // simulation harness: a stable 256-bit content hash over canonical,
-// versioned encodings of simulation inputs, and an on-disk store (with an
-// in-memory LRU in front) mapping those hashes to cached results.
+// versioned encodings of simulation inputs, and a store mapping those
+// hashes to cached results — one append-only log of CRC-framed records per
+// cache directory, indexed by offset when the store opens, with an
+// in-memory LRU in front.
 //
 // The cache's correctness contract is the repository's byte-determinism
 // guarantees: a simulation's result is a pure function of its content
@@ -10,9 +12,10 @@
 // result forever — entries never need revalidation, only invalidation by
 // code-version bump.
 //
-// A corrupt or stale cache can never change results, only cost: every read
-// is framed, length-checked, key-checked, and checksummed, and anything
-// suspect is treated as a miss and transparently re-simulated.
+// A corrupt or stale cache can never change results, only cost: every
+// record is framed, length-checked, key-checked, and checksummed when the
+// log is scanned and again when it is read, and anything suspect is
+// treated as a miss and transparently re-simulated.
 package memo
 
 import (

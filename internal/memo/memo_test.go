@@ -3,8 +3,11 @@ package memo
 import (
 	"bytes"
 	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestHasherInjective asserts the tagged framing keeps adjacent values from
@@ -262,5 +265,184 @@ func TestStoreLRUEviction(t *testing.T) {
 	}
 	if _, ok := mem.Get(k1); ok {
 		t.Error("memory-only store hit an evicted entry")
+	}
+}
+
+// TestTombstoneSurvivesReopen pins Delete on a disk store: the tombstone
+// hides the key from stores opened later, without counting corruption,
+// while its neighbour stays; a Put after the Delete hits again. A
+// tombstone never decodes as a result frame, and no bit flip turns a
+// result record into a tombstone or a tombstone into a result: each
+// damaged record simply stops counting.
+func TestTombstoneSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	gone, kept := New("gone").Sum(), New("kept").Sum()
+	for _, k := range []Hash{gone, kept} {
+		if err := s.Put(k, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Delete(gone)
+	r := mustOpen(t, dir)
+	if _, ok := r.Get(gone); ok {
+		t.Error("a store opened after Delete hit the deleted key")
+	}
+	if got, ok := r.Get(kept); !ok || string(got) != "payload" {
+		t.Errorf("Delete dropped its neighbour: (%q, %v)", got, ok)
+	}
+	if st := r.Stats(); st.CorruptEntries != 0 {
+		t.Errorf("a tombstone counted %d corrupt entries", st.CorruptEntries)
+	}
+
+	s.SetLRUBytes(0)
+	if err := s.Put(gone, []byte("again")); err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range []*Store{s, r, mustOpen(t, dir)} {
+		if got, ok := st.Get(gone); !ok || string(got) != "again" {
+			t.Errorf("store %d reads a key re-Put after Delete as (%q, %v)", i, got, ok)
+		}
+	}
+
+	tomb := tombstone(gone)
+	if payload, ok := DecodeFrame(tomb, gone); ok {
+		t.Fatalf("a tombstone decoded as a result frame: %q", payload)
+	}
+	older, newer := EncodeFrame(gone, []byte("older")), EncodeFrame(gone, []byte("newer"))
+	for _, tc := range []struct {
+		name  string
+		log   []byte
+		flip  []byte // the record whose bits are flipped
+		after []byte // what gone reads once flip stops counting
+	}{
+		{"tombstone flipped", append(bytes.Clone(older), tomb...), tomb, []byte("older")},
+		{"result flipped", append(bytes.Clone(older), newer...), newer, []byte("older")},
+	} {
+		at := len(tc.log) - len(tc.flip)
+		for i := 0; i < 8*len(tc.flip); i++ {
+			mut := bytes.Clone(tc.log)
+			mut[at+i/8] ^= 1 << (i % 8)
+			d := t.TempDir()
+			writeLog(t, d, mut)
+			if got, ok := mustOpen(t, d).Get(gone); !ok || !bytes.Equal(got, tc.after) {
+				t.Fatalf("%s at bit %d: reads (%q, %v), want %q", tc.name, i, got, ok, tc.after)
+			}
+		}
+	}
+}
+
+// TestConcurrentStoresAppend has two stores on one directory Put from
+// several goroutines at once, partly the same keys (two processes filling
+// one job), and requires a third store opened afterwards to hit every key
+// with its payload.
+func TestConcurrentStoresAppend(t *testing.T) {
+	dir := t.TempDir()
+	writers := []*Store{mustOpen(t, dir), mustOpen(t, dir)}
+	const goroutines, keys = 4, 60
+	payload := func(k int) []byte { return bytes.Repeat([]byte{byte('a' + k%26)}, 200+k) }
+	key := func(k int) Hash { h := New("concurrent"); h.I64(int64(k)); return h.Sum() }
+	var wg sync.WaitGroup
+	for w, s := range writers {
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := g; k < keys; k += goroutines {
+					if k%3 != 0 && k%2 != w { // every third key is written by both stores
+						continue
+					}
+					if err := s.Put(key(k), payload(k)); err != nil {
+						t.Error(err)
+					}
+					s.Get(key((k + 7) % keys)) // misses re-scan the tail while others append
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	r := mustOpen(t, dir)
+	for k := 0; k < keys; k++ {
+		if got, ok := r.Get(key(k)); !ok || !bytes.Equal(got, payload(k)) {
+			t.Errorf("key %d reads (%d bytes, %v) after concurrent appends", k, len(got), ok)
+		}
+	}
+	if st := r.Stats(); st.CorruptEntries != 0 {
+		t.Errorf("%d corrupt entries after concurrent appends", st.CorruptEntries)
+	}
+}
+
+// TestOldEntryFilesIgnored opens a directory holding only entry files of
+// the one-file-per-result layout: every key misses, and the files stay.
+func TestOldEntryFilesIgnored(t *testing.T) {
+	dir := t.TempDir()
+	var paths []string
+	for _, v := range victims {
+		hx := v.key.Hex()
+		path := filepath.Join(dir, hx[:2], hx+".m1")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, EncodeFrame(v.key, v.payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	hit, st := readVictims(t, dir, "old entry files")
+	for i, ok := range hit {
+		if ok {
+			t.Errorf("victim %d hit an old entry file", i)
+		}
+	}
+	if st.CorruptEntries != 0 {
+		t.Errorf("old entry files counted %d corrupt entries", st.CorruptEntries)
+	}
+	for _, p := range paths {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("old entry file: %v", err)
+		}
+	}
+}
+
+// TestUnclosedStoresReleaseDescriptors opens 5,000 stores on one directory
+// and closes none, as a caller that re-opens its store per sweep does:
+// once they are collected, the process holds about as many descriptors as
+// before.
+func TestUnclosedStoresReleaseDescriptors(t *testing.T) {
+	openFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(fds)
+	}
+	dir := t.TempDir()
+	if err := mustOpen(t, dir).Put(New("k").Sum(), []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	before := openFDs()
+	for i := 0; i < 5000; i++ {
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.Get(New("k").Sum()); !ok {
+			t.Fatal("stored key missed")
+		}
+	}
+	// os.File closes a collected descriptor from a finalizer, which runs
+	// after the collection that finds it: collect until the count settles.
+	const slack = 64
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		n := openFDs()
+		if n <= before+slack {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d descriptors open after collecting 5000 unclosed stores, %d before", n, before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -33,9 +33,9 @@
 // names it, and drops it with the last such entry; a worker fetches each
 // trace once and checks its hash before use.
 //
-// Result posts are CRC-framed with the memo store's own entry framing
+// Result posts are CRC-framed with the memo store's own record framing
 // (memo.EncodeFrame), validated with the same decoder the store uses
-// against corrupt cache files: a truncated, bit-flipped, misdirected, or
+// against damaged cache records: a truncated, bit-flipped, misdirected, or
 // trailing-garbage post is rejected before anything touches the store, and
 // the lease is returned for re-issue.
 package serve
@@ -44,6 +44,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -611,10 +612,31 @@ type leaseWire struct {
 
 const (
 	maxLeaseBatch   = 16
+	minLeaseWait    = time.Millisecond // the wire counts whole milliseconds
 	maxLeaseWait    = 30 * time.Second
 	maxResultBytes  = 256 << 20
 	leaseRecheckDur = 250 * time.Millisecond
 )
+
+// LeaseBounds checks one lease poll's batch size and idle wait against what
+// a coordinator grants: 1 to 16 jobs, and a wait of 1 ms to 30 s. It
+// returns both clamped into those ranges, except that a wait below 1 ms
+// stays as it is (the coordinator then answers at once), and an error
+// naming the range for each value outside it. The coordinator serves every
+// lease request with the clamped values; pifssim -worker refuses -lease-max
+// and -poll values that it reports.
+func LeaseBounds(jobs int, wait time.Duration) (int, time.Duration, error) {
+	var errs []error
+	if jobs < 1 || jobs > maxLeaseBatch {
+		errs = append(errs, fmt.Errorf("lease batch %d outside [1, %d] jobs per poll", jobs, maxLeaseBatch))
+		jobs = min(max(jobs, 1), maxLeaseBatch)
+	}
+	if wait < minLeaseWait || wait > maxLeaseWait {
+		errs = append(errs, fmt.Errorf("lease wait %v outside [%v, %v]", wait, minLeaseWait, maxLeaseWait))
+		wait = min(wait, maxLeaseWait)
+	}
+	return jobs, wait, errors.Join(errs...)
+}
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -628,16 +650,9 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if req.Worker == "" {
 		req.Worker = "anon"
 	}
-	if req.Max < 1 {
-		req.Max = 1
-	}
-	if req.Max > maxLeaseBatch {
-		req.Max = maxLeaseBatch
-	}
-	wait := time.Duration(req.WaitMS) * time.Millisecond
-	if wait > maxLeaseWait {
-		wait = maxLeaseWait
-	}
+	// A request outside the bounds is served clamped, not refused.
+	var wait time.Duration
+	req.Max, wait, _ = LeaseBounds(req.Max, time.Duration(req.WaitMS)*time.Millisecond)
 	deadline := time.Now().Add(wait)
 
 	c.touchWorker(req.Worker)
@@ -724,9 +739,9 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "result post for %s: unreadable or oversized body", h.Hex()[:12])
 		return
 	}
-	// Same framing, same decoder, same rejection semantics as a corrupt
-	// cache entry file: anything suspect is discarded before it can touch
-	// the store, and the lease goes back on the board.
+	// Same framing, same decoder, same rejection semantics as a damaged
+	// cache record: anything suspect is discarded before it can touch the
+	// store, and the lease goes back on the board.
 	payload, ok := memo.DecodeFrame(raw, h)
 	if !ok {
 		c.corruptResults.Add(1)

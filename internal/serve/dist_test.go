@@ -792,3 +792,35 @@ func TestResultPostRobustness(t *testing.T) {
 		t.Errorf("malformed hash: status %d, want 400", code)
 	}
 }
+
+// TestLeaseBounds pins the one check behind the coordinator's lease clamp
+// and pifssim -worker's flag validation: values inside 1 to 16 jobs and
+// 1 ms to 30 s pass unchanged; values outside are reported, naming the
+// range, and clamped, except a wait below 1 ms, which the coordinator
+// answers at once.
+func TestLeaseBounds(t *testing.T) {
+	for _, tc := range []struct {
+		jobs     int
+		wait     time.Duration
+		wantJobs int
+		wantWait time.Duration
+		bad      string
+	}{
+		{1, time.Millisecond, 1, time.Millisecond, ""},
+		{16, 30 * time.Second, 16, 30 * time.Second, ""},
+		{4, time.Second, 4, time.Second, ""},
+		{0, time.Second, 1, time.Second, "[1, 16]"},
+		{17, time.Second, 16, time.Second, "[1, 16]"},
+		{4, 0, 4, 0, "[1ms, 30s]"},
+		{4, -time.Second, 4, -time.Second, "[1ms, 30s]"},
+		{4, time.Minute, 4, 30 * time.Second, "[1ms, 30s]"},
+	} {
+		jobs, wait, err := LeaseBounds(tc.jobs, tc.wait)
+		if jobs != tc.wantJobs || wait != tc.wantWait {
+			t.Errorf("LeaseBounds(%d, %v) = %d, %v; want %d, %v", tc.jobs, tc.wait, jobs, wait, tc.wantJobs, tc.wantWait)
+		}
+		if (err == nil) != (tc.bad == "") || err != nil && !strings.Contains(err.Error(), tc.bad) {
+			t.Errorf("LeaseBounds(%d, %v) error %v, want one naming %q", tc.jobs, tc.wait, err, tc.bad)
+		}
+	}
+}

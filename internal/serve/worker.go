@@ -56,10 +56,11 @@ type WorkerConfig struct {
 	// lease at a time on its loop goroutine, and RunJobPayload never reads
 	// its receiver.
 	Runner *harness.Runner
-	// LeaseMax is how many jobs to lease per poll (default 4; the
-	// coordinator caps at 16).
+	// LeaseMax is how many jobs to lease per poll (default 4). The
+	// coordinator clamps it into LeaseBounds' range, 1 to 16.
 	LeaseMax int
-	// Poll bounds one idle long-poll at the coordinator (default 1s).
+	// Poll bounds one idle long-poll at the coordinator (default 1s). The
+	// coordinator holds a poll at most 30 s (LeaseBounds).
 	Poll time.Duration
 	// Log receives per-job lines; nil silences them.
 	Log *log.Logger
